@@ -43,7 +43,6 @@ from .tensor import (
     geodesic_batch,
     kahler_residuals,
     killing_residual,
-    point_tensors,
     potential_derivatives,
 )
 from .models import (

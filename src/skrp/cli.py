@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,6 +91,16 @@ class ModelContext:
     sphere: Optional[models.SphereModel]
     profile: Optional[profiles.Profile]
     variant: str
+    # Sphere geodesic fans by FD configuration: the distance and
+    # normal_geodesics checks share one integration.
+    sphere_fans: dict = field(default_factory=dict)
+
+
+def _sphere_fan(ctx: ModelContext, fd: tensor.FDConfig
+                ) -> verify.NormalGeodesicReport:
+    if fd not in ctx.sphere_fans:
+        ctx.sphere_fans[fd] = verify.sphere_normal_geodesics(ctx.sphere, fd)
+    return ctx.sphere_fans[fd]
 
 
 def parse_model(node: dict, profile: Optional[profiles.Profile]
@@ -184,11 +194,8 @@ def check_curvature_constant(ctx, params, fd, seed):
         np.exp(rng.uniform(math.log(0.05), math.log(2.0), count - n_near))])
     th = rng.uniform(0, 2 * math.pi, count)
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
-    worst = 0.0
-    for x in pts:
-        curv = tensor.curvature(ctx.chart, x, fd)
-        gauss = curv.scalar / 2.0
-        worst = max(worst, abs(gauss - K) / K)
+    gauss = tensor.curvature(ctx.chart, pts, fd).scalar / 2.0
+    worst = float(np.max(np.abs(gauss - K) / K))
     return [_result("curvature_constant", worst,
                     params.get("tolerance", 1e-5),
                     note=f"relative deviation from K={K} at {count} points")]
@@ -204,7 +211,7 @@ def check_distance(ctx, params, fd, seed):
         out.append(_result("distance_quadrature", abs(L - params["expected"]),
                            tol, note=f"L={L!r}"))
     if ctx.variant == "sphere":
-        rep = verify.sphere_normal_geodesics(ctx.sphere, fd)
+        rep = _sphere_fan(ctx, fd)
         out.append(_result("distance_geodesic", rep.distance_vs_L,
                            params.get("geodesic_tolerance", 1e-4),
                            note="pole-to-pole arclength vs L"))
@@ -261,16 +268,14 @@ def check_conformal_einstein(ctx, params, fd, seed):
 def check_kahler(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
     tol = params.get("tolerance", 1e-6)
-    worst = max(tensor.kahler_residuals(ctx.chart, x, fd).worst()
-                for x in pts)
+    worst = float(np.max(tensor.kahler_residuals(ctx.chart, pts, fd).worst()))
     return [_result("kahler_residuals", worst, tol)]
 
 
 def check_killing(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
     tol = params.get("tolerance", 1e-6)
-    worst = max(tensor.killing_residual(ctx.chart, x, fd).worst()
-                for x in pts)
+    worst = float(np.max(tensor.killing_residual(ctx.chart, pts, fd).worst()))
     return [_result("killing_residuals", worst, tol)]
 
 
@@ -284,7 +289,7 @@ def check_soliton(ctx, params, fd, seed):
 
 def check_normal_geodesics(ctx, params, fd, seed):
     if ctx.variant == "sphere":
-        rep = verify.sphere_normal_geodesics(ctx.sphere, fd)
+        rep = _sphere_fan(ctx, fd)
     elif ctx.variant == "shell":
         rep = verify.shell_normal_geodesics(ctx.chart, fd)
     else:
@@ -421,7 +426,17 @@ def run_config(config: dict, seed_override: Optional[int] = None,
                 if key.endswith("tolerance") and isinstance(
                         params[key], (int, float)):
                     params[key] = params[key] * tol_scale
-        return CHECKS[name](ctx, params, fd, seed)
+        try:
+            return CHECKS[name](ctx, params, fd, seed)
+        except ConfigError:
+            raise
+        except SkrpError as exc:
+            # One failing check does not end the run: it becomes a failed row.
+            return [CheckResult(name=name, residual=math.inf,
+                                tolerance=float(params.get("tolerance",
+                                                           math.nan)),
+                                passed=False,
+                                note=f"error {type(exc).__name__}: {exc}")]
 
     # Validate the whole plan before running anything.
     for entry in plan:
@@ -587,6 +602,15 @@ def _write_out(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
+def _env_threads() -> int:
+    value = os.environ.get("SKRP_THREADS", "1")
+    try:
+        return int(value)
+    except ValueError:
+        raise ConfigError(f"SKRP_THREADS must be an integer, got "
+                          f"{value!r}") from None
+
+
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="skrp",
@@ -602,11 +626,13 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument("--in", dest="infile", required=True)
         p.add_argument("--out", default=None)
         p.add_argument("--tol-scale", type=float, default=1.0)
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("SKRP_THREADS", "1")))
+        p.add_argument("--threads", type=int, default=None)
     args = parser.parse_args(argv)
 
     try:
+        threads = args.threads
+        if threads is None:
+            threads = _env_threads()
         if args.command == "report":
             with open(args.infile, "r", encoding="utf-8") as fh:
                 text = fh.read()
@@ -616,7 +642,7 @@ def main(argv: Optional[list] = None) -> int:
         if args.command == "verify":
             code, text = run_config(config, seed_override=args.seed,
                                     tol_scale=args.tol_scale,
-                                    threads=max(1, args.threads))
+                                    threads=max(1, threads))
             out = args.out or config.get("out")
             _write_out(text, out)
             return code

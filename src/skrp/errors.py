@@ -69,20 +69,8 @@ class SingularMetric(SkrpError):
     """Metric matrix is numerically singular at the probed point."""
 
 
-class LeftDomain(SkrpError):
-    """A path left the chart domain; partial data may be attached."""
-
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
-
 class CriticalPoint(SkrpError):
     """|grad phi| is too small for an operation that requires d(phi) != 0."""
-
-
-class MissingC(SkrpError):
-    """An identity involving the constant c was requested with eps = 0."""
 
 
 class PhiNearZero(SkrpError):

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import SpecInvariantViolated, TableRangeExceeded, WrongEndpoint
 from .profiles import Profile, Quadratic, make_profile
 from .reparam import ReparamTable, build_reparam, _neville_at_zero
-from .tensor import ChartMetric, FDConfig
+from .tensor import ChartMetric, FDConfig, partials
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
@@ -449,34 +449,16 @@ def tautological_connection(y, fd: Optional[FDConfig] = None
         denom = 1.0 + np.abs(z) ** 2
         return np.conj(z) / denom     # Gamma(e1); Gamma(e2) = i * this
 
-    g1_0 = complex(gamma_components(y[None, :])[0])
-    d = _fd_grad_c2(gamma_components, y, fd)
+    value, d, _ = partials(gamma_components, y[None, :], fd.h, fd.richardson,
+                           False)
+    g1_0 = complex(value[0])
     # dGamma = (d1 Gamma2 - d2 Gamma1) dy1^dy2 with Gamma2 = i Gamma1.
-    dgamma = 1j * d[0] - d[1]
+    dgamma = 1j * d[0, 0] - d[0, 1]
     omega = 1j * dgamma
     r2 = float(y @ y)
     omega_fs = 1.0 / (1.0 + r2) ** 2
     return ConnectionData(gamma=(g1_0, 1j * g1_0), omega=complex(omega),
                           omega_fs=omega_fs)
-
-
-def _fd_grad_c2(fn, y: np.ndarray, fd: FDConfig) -> np.ndarray:
-    """Order-4 (optionally Richardson) gradient of a complex function on R^2."""
-    offsets = (-2, -1, 1, 2)
-    weights = (1.0, -8.0, 8.0, -1.0)
-
-    def d1(h):
-        out = np.zeros(2, dtype=complex)
-        for i in range(2):
-            pts = np.stack([y + c * h * np.eye(2)[i] for c in offsets])
-            vals = fn(pts)
-            out[i] = sum(w * v for w, v in zip(weights, vals)) / (12.0 * h)
-        return out
-
-    h = fd.h
-    if fd.richardson:
-        return (16.0 * d1(h / 2) - d1(h)) / 15.0
-    return d1(h)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import (
     AnchorOutOfRange,
@@ -203,7 +202,12 @@ class ReparamTable:
         return out
 
     def phi_of_r(self, r):
-        """Inverse map by monotone root finding on log r."""
+        """Inverse map: safeguarded Newton-bisection on log r(phi), all radii
+        at once, with the exact derivative a/Q.
+
+        Each radius keeps a bracket on which log r(phi) - log r changes
+        sign; a Newton step that would leave it is replaced by bisection.
+        """
         scalar = np.isscalar(r)
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr <= 0):
@@ -213,15 +217,31 @@ class ReparamTable:
         pad = 1e-13 * (hi - lo)
         a_br, b_br = lo + pad, hi - pad
         va, vb = float(self._logr.value(a_br)), float(self._logr.value(b_br))
-        out = np.empty_like(target)
-        for i, t in enumerate(target):
-            if (t - va) * (t - vb) > 0:
-                raise TableRangeExceeded(
-                    f"r = {r_arr[i]} outside the table range")
-            out[i] = brentq(lambda p: float(self._logr.value(p)) - t,
-                            a_br, b_br, xtol=1e-15 * max(1.0, abs(hi), abs(lo)),
-                            rtol=8.9e-16)
-        return float(out[0]) if scalar else out
+        outside = (target - va) * (target - vb) > 0
+        if np.any(outside):
+            raise TableRangeExceeded(
+                f"r = {r_arr[np.argmax(outside)]} outside the table range")
+        tol = 1e-15 * max(1.0, abs(hi), abs(lo))
+        # Bracket ends with f = log r(phi) - target of the sign at a_br (A)
+        # and at b_br (B); the start is the table's node interpolant.
+        sign_a = np.sign(va - target)
+        end_a = np.full_like(target, a_br)
+        end_b = np.full_like(target, b_br)
+        phi = np.interp(target, np.log(self.r_nodes), self.phi_nodes)
+        phi = np.clip(phi, a_br, b_br)
+        for _ in range(100):    # bisection alone needs fewer than 60
+            f = np.asarray(self._logr.value(phi)) - target
+            on_a = np.sign(f) == sign_a
+            end_a = np.where(on_a, phi, end_a)
+            end_b = np.where(on_a, end_b, phi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = phi - f / np.asarray(self._logr.derivative(phi))
+            done = np.abs(newton - phi) <= tol + 8.9e-16 * np.abs(phi)
+            inside = done | ((newton - end_a) * (newton - end_b) <= 0)
+            phi = np.where(inside, newton, 0.5 * (end_a + end_b))
+            if np.all(done):
+                break
+        return float(phi[0]) if scalar else phi
 
     def dense_phi_of_logr(self, logr_lo: float, logr_hi: float,
                           n: int = 8192) -> CubicSpline:

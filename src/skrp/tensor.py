@@ -1,11 +1,20 @@
 """Chart-level numerical differential geometry by finite differences.
 
 Charts expose analytic metric and potential values only; every derivative
-here is a fifth-order-stencil finite difference (order 4, optional one-level
-Richardson extrapolation).  Stencil clouds are integer-coded in units of
-h/2, deduplicated, and evaluated through the chart's vectorized callables in
-a single batch, which keeps curvature evaluation cheap enough to sample
-hundreds of points per model.
+here comes from one stencil operator.  For chart dimension n the operator is
+an integer-coded cloud of P offsets in units of h/2 (the five-point order-4
+stencils along each axis and their products on each coordinate plane, at
+step h and, with one-level Richardson extrapolation, also at h/2) and a
+unit-step weight matrix W of shape (n + n(n+1)/2, P): one row per first
+partial, one per second partial, with the Richardson combination folded in.
+Operators are built on first use and cached per (n, richardson, second).
+
+Every function below takes a batch of points with points as the leading
+axis, shape (B, n), and also a single point of shape (n,), for which it
+returns unbatched results.  The clouds of a batch go through the chart's
+vectorized callables in chunks of about CHUNK_POINTS stencil points, and
+each chunk is reduced to partials by one product ``W @ values`` before the
+next is evaluated, which bounds memory while keeping each call large.
 
 Curvature follows the sign convention
 
@@ -22,18 +31,22 @@ K has Ricci = +K g, which the test suite pins.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import SingularMetric, StencilOutOfDomain
 
-_W1_OFF = (-2, -1, 1, 2)
-_W1_WGT = (1.0, -8.0, 8.0, -1.0)   # / (12 h)
-_W2_OFF = (-2, -1, 0, 1, 2)
-_W2_WGT = (-1.0, 16.0, -30.0, 16.0, -1.0)   # / (12 h^2)
+# Stencil points per evaluation of a chart callable: large enough that call
+# overhead is small, small enough that a chunk of n = 8 metric values stays
+# a few megabytes.
+CHUNK_POINTS = 2048
+
+_D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))                # / 12 h
+_D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12 h^2
 
 
 @dataclass(frozen=True)
@@ -74,135 +87,160 @@ class ChartMetric:
         return float(self.meta.get("fd_scale", 1.0))
 
 
+# ---------------------------------------------------------------------------
+# The stencil operator
+# ---------------------------------------------------------------------------
+
 @dataclass(frozen=True)
-class PointTensors:
-    """All chart tensors at one point."""
+class Stencil:
+    """Cloud offsets ``codes`` (P, n) in units of h/2, the center first, and
+    unit-step weights ``W`` (D, P).  Rows 0..n-1 of W are d/dx_i; in a
+    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j."""
 
-    gamma: np.ndarray
-    riemann: np.ndarray
-    ricci: np.ndarray
-    scalar: float
-    grad_phi: np.ndarray
-    hess_phi: np.ndarray
-    Y: float
-    Q: float
+    codes: np.ndarray
+    W: np.ndarray
+    pair: Optional[np.ndarray]
+
+    def apply(self, vals: np.ndarray, h: float, center: bool = True):
+        """Partials from values on a batch of clouds, (B, P, ...) or, with
+        ``center=False``, (B, P - 1, ...) without the center point (first
+        order only: it carries no first-order weight).  Returns first
+        partials (B, n, ...) and second partials (B, n, n, ...) or None.
+
+        Every row of W sums to zero, so the center value is subtracted
+        first: differences keep the roundoff small, and a constant has
+        exactly zero partials.
+        """
+        W = self.W if center else self.W[:, 1:]
+        B, n = len(vals), self.codes.shape[1]
+        trail = vals.shape[2:]
+        vals = vals.reshape(B, W.shape[1], -1)
+        if center:
+            vals = vals - vals[:, :1]
+        out = W @ vals
+        d1 = (out[:, :n] / h).reshape((B, n) + trail)
+        if self.pair is None:
+            return d1, None
+        return d1, (out[:, self.pair] / (h * h)).reshape((B, n, n) + trail)
 
 
-# ---------------------------------------------------------------------------
-# Stencil plans
-# ---------------------------------------------------------------------------
+@functools.lru_cache(maxsize=None)
+def stencil(n: int, richardson: bool, second: bool) -> Stencil:
+    """The order-4 stencil operator for chart dimension n (Fornberg,
+    Math. Comp. 51 (1988) 699-706, gives these weights): with Richardson
+    extrapolation each row is 16/15 of its step-h/2 form minus 1/15 of its
+    step-h form."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)] if second else []
+    index = {(0,) * n: 0}
+    taps = []   # (row, column, weight)
 
-@lru_cache(maxsize=None)
-def _stencil_plan(n: int, richardson: bool, second: bool):
-    """Integer-coded cloud (units of h/2) plus index maps for reassembly.
+    def tap(row, weight, *axis_codes):
+        code = [0] * n
+        for axis, c in axis_codes:
+            code[axis] = c
+        taps.append((row, index.setdefault(tuple(code), len(index)), weight))
 
-    Returns (codes, index) where codes is a tuple of integer offset vectors
-    and index maps each code to its row.  Scales: 2 means step h, 1 means
-    step h/2 (only present when richardson is on).
-    """
-    codes = {}
-
-    def add(vec):
-        key = tuple(vec)
-        if key not in codes:
-            codes[key] = len(codes)
-        return codes[key]
-
-    add((0,) * n)
-    scales = (2, 1) if richardson else (2,)
-    for s in scales:
+    levels = ((2, -1.0 / 15.0), (1, 16.0 / 15.0)) if richardson else ((2, 1.0),)
+    for s, coef in levels:
+        step = 0.5 * s      # in units of h
         for i in range(n):
-            for c in _W1_OFF + ((-2, 2) if second else ()):
-                vec = [0] * n
-                vec[i] = c * s
-                add(vec)
-        if second:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    for a in _W1_OFF:
-                        for b in _W1_OFF:
-                            vec = [0] * n
-                            vec[i] = a * s
-                            vec[j] = b * s
-                            add(vec)
-    rows = [None] * len(codes)
-    for key, idx in codes.items():
-        rows[idx] = key
-    return tuple(rows), codes
+            for c, w in _D1:
+                tap(i, coef * w / (12.0 * step), (i, c * s))
+        for row, (i, j) in enumerate(pairs, start=n):
+            if i == j:
+                for c, w in _D2:
+                    tap(row, coef * w / (12.0 * step * step), (i, c * s))
+                continue
+            for a, wa in _D1:
+                for b, wb in _D1:
+                    tap(row, coef * wa * wb / (144.0 * step * step),
+                        (i, a * s), (j, b * s))
+    W = np.zeros((n + len(pairs), len(index)))
+    for row, col, w in taps:
+        W[row, col] += w
+    codes = np.array(list(index), dtype=int).reshape(len(index), n)
+    pair = None
+    if second:
+        pair = np.empty((n, n), dtype=int)
+        for row, (i, j) in enumerate(pairs, start=n):
+            pair[i, j] = pair[j, i] = row
+        pair.flags.writeable = False
+    W.flags.writeable = False
+    codes.flags.writeable = False
+    return Stencil(codes=codes, W=W, pair=pair)
 
 
-class _Cloud:
-    """Evaluated stencil cloud of one vectorized function around a point."""
+def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
+             second: bool, domain: Optional[Callable] = None,
+             value: bool = True):
+    """Values at x, first and second partials of a vectorized ``fn`` at a
+    batch of points x (B, n), as (value or None, d1, d2 or None).
 
-    def __init__(self, chart: ChartMetric, fn, x: np.ndarray, fd: FDConfig,
-                 second: bool):
-        n = chart.n
-        self.n = n
-        self.h = fd.h * chart.fd_scale()
-        self.richardson = fd.richardson
-        self.second = second
-        rows, self.index = _stencil_plan(n, fd.richardson, second)
-        offsets = np.asarray(rows, dtype=float) * (0.5 * self.h)
-        pts = x[None, :] + offsets
-        inside = np.asarray(chart.domain(pts), dtype=bool)
-        if not np.all(inside):
-            raise StencilOutOfDomain(
-                f"{int(np.sum(~inside))} stencil points leave the domain "
-                f"around {x.tolist()}")
-        self.values = np.asarray(fn(pts), dtype=float)
+    The clouds are evaluated in chunks of about CHUNK_POINTS stencil
+    points.  With ``domain`` given, a cloud that leaves the domain raises
+    StencilOutOfDomain naming its point.  A first-order call without
+    ``value`` leaves the center point out of the cloud.
+    """
+    B, n = x.shape
+    op = stencil(n, richardson, second)
+    center = value or second
+    offsets = (op.codes if center else op.codes[1:]) * (0.5 * h)
+    P = len(offsets)
+    per = max(1, CHUNK_POINTS // P)
+    values, d1s, d2s = [], [], []
+    for lo in range(0, B, per):
+        xb = x[lo:lo + per]
+        pts = (xb[:, None, :] + offsets).reshape(-1, n)
+        if domain is not None:
+            inside = np.asarray(domain(pts), dtype=bool).reshape(len(xb), P)
+            left = ~np.all(inside, axis=1)
+            if np.any(left):
+                k = int(np.argmax(left))
+                raise StencilOutOfDomain(
+                    f"{int(np.sum(~inside[k]))} stencil points leave the "
+                    f"domain around point {lo + k} at {xb[k].tolist()}")
+        vals = np.asarray(fn(pts))
+        vals = vals.reshape((len(xb), P) + vals.shape[1:])
+        if value:
+            values.append(vals[:, 0].copy())    # not a view of the chunk
+        d1, d2 = op.apply(vals, h, center)
+        d1s.append(d1)
+        d2s.append(d2)
+    return (np.concatenate(values) if value else None, np.concatenate(d1s),
+            np.concatenate(d2s) if second else None)
 
-    def _at(self, vec) -> np.ndarray:
-        return self.values[self.index[tuple(vec)]]
 
-    def center(self):
-        return self._at((0,) * self.n)
+def _take(obj, index):
+    """``obj`` with every array in it (through dataclass fields) indexed by
+    ``index``: 0 picks the first point, None adds a leading axis."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj[index]
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return dataclasses.replace(obj, **{
+            f.name: _take(getattr(obj, f.name), index)
+            for f in dataclasses.fields(obj)})
+    return obj
 
-    def _d1_scale(self, i: int, s: int):
-        h_eff = 0.5 * self.h * s
-        acc = 0.0
-        for c, w in zip(_W1_OFF, _W1_WGT):
-            vec = [0] * self.n
-            vec[i] = c * s
-            acc = acc + w * self._at(vec)
-        return acc / (12.0 * h_eff)
 
-    def d1(self, i: int):
-        if not self.richardson:
-            return self._d1_scale(i, 2)
-        return (16.0 * self._d1_scale(i, 1) - self._d1_scale(i, 2)) / 15.0
+def _one_or_many(fn):
+    """Let ``fn(chart, x, fd, ...)``, written for a batch x of shape (B, n),
+    take one point of shape (n,) as well: array arguments (such as a
+    ``jet``) and results are then those of that one point."""
 
-    def _d2_diag_scale(self, i: int, s: int):
-        h_eff = 0.5 * self.h * s
-        acc = 0.0
-        for c, w in zip(_W2_OFF, _W2_WGT):
-            vec = [0] * self.n
-            vec[i] = c * s
-            acc = acc + w * self._at(vec)
-        return acc / (12.0 * h_eff * h_eff)
+    @functools.wraps(fn)
+    def wrapper(chart, x, fd, *args, **kwargs):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return fn(chart, x, fd, *args, **kwargs)
+        args = [_take(v, None) for v in args]
+        kwargs = {k: _take(v, None) for k, v in kwargs.items()}
+        return _take(fn(chart, x[None, :], fd, *args, **kwargs), 0)
+    return wrapper
 
-    def _d2_cross_scale(self, i: int, j: int, s: int):
-        h_eff = 0.5 * self.h * s
-        acc = 0.0
-        for a, wa in zip(_W1_OFF, _W1_WGT):
-            for b, wb in zip(_W1_OFF, _W1_WGT):
-                vec = [0] * self.n
-                vec[i] = a * s
-                vec[j] = b * s
-                acc = acc + wa * wb * self._at(vec)
-        return acc / (144.0 * h_eff * h_eff)
 
-    def d2(self, i: int, j: int):
-        if i == j:
-            if not self.richardson:
-                return self._d2_diag_scale(i, 2)
-            return (16.0 * self._d2_diag_scale(i, 1)
-                    - self._d2_diag_scale(i, 2)) / 15.0
-        if i > j:
-            i, j = j, i
-        if not self.richardson:
-            return self._d2_cross_scale(i, j, 2)
-        return (16.0 * self._d2_cross_scale(i, j, 1)
-                - self._d2_cross_scale(i, j, 2)) / 15.0
+def _amax(a: np.ndarray) -> np.ndarray:
+    """max |a| over all axes but the leading (point) axis."""
+    return np.max(np.abs(a).reshape(len(a), -1), axis=1, initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -211,115 +249,126 @@ class _Cloud:
 
 @dataclass(frozen=True)
 class MetricJet:
-    """Metric, inverse, first/second partials, and Christoffel symbols."""
+    """Metric, inverse, first/second partials, and Christoffel symbols,
+    each with the point axis first."""
 
     g: np.ndarray
     ginv: np.ndarray
-    dg: np.ndarray                  # dg[i] = partial_i g
-    d2g: Optional[np.ndarray]       # d2g[i, j] = partial_i partial_j g
-    gamma: np.ndarray               # gamma[k, i, j]
+    dg: np.ndarray                  # dg[b, i] = partial_i g
+    d2g: Optional[np.ndarray]       # d2g[b, i, j] = partial_i partial_j g
+    gamma: np.ndarray               # gamma[b, k, i, j]
 
 
+@_one_or_many
 def metric_jet(chart: ChartMetric, x, fd: FDConfig,
                second: bool = True) -> MetricJet:
-    x = np.asarray(x, dtype=float)
-    n = chart.n
-    cloud = _Cloud(chart, chart.g, x, fd, second)
-    g = cloud.center()
+    g, dg, d2g = partials(chart.g, x, fd.h * chart.fd_scale(),
+                          fd.richardson, second, domain=chart.domain)
     ev = np.linalg.eigvalsh(g)
-    if ev[0] <= 0 or ev[0] < 1e-14 * ev[-1]:
-        raise SingularMetric(f"metric not positive definite at {x.tolist()}: "
-                             f"eigenvalues {ev.tolist()}")
+    bad = (ev[:, 0] <= 0) | (ev[:, 0] < 1e-14 * ev[:, -1])
+    if np.any(bad):
+        k = int(np.argmax(bad))
+        raise SingularMetric(f"metric not positive definite at "
+                             f"{x[k].tolist()}: eigenvalues {ev[k].tolist()}")
     ginv = np.linalg.inv(g)
-    dg = np.stack([cloud.d1(i) for i in range(n)])
-    d2g = None
-    if second:
-        d2g = np.empty((n, n, n, n))
-        for i in range(n):
-            for j in range(i, n):
-                val = cloud.d2(i, j)
-                d2g[i, j] = val
-                d2g[j, i] = val
-    gamma = _christoffel(ginv, dg)
-    return MetricJet(g=g, ginv=ginv, dg=dg, d2g=d2g, gamma=gamma)
+    return MetricJet(g=g, ginv=ginv, dg=dg, d2g=d2g,
+                     gamma=_christoffel(ginv, dg))
+
+
+def _bracket(dg: np.ndarray) -> np.ndarray:
+    """[..., i, j, l] = d_i g_jl + d_j g_il - d_l g_ij over the last three
+    axes of dg[..., i, j, l] = d_i g_jl."""
+    return dg + np.swapaxes(dg, -3, -2) - np.moveaxis(dg, -3, -1)
 
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
-    """gamma[k, i, j] = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    bracket = (np.einsum("ijl->ijl", dg)
-               + np.einsum("jil->ijl", dg)
-               - np.einsum("lij->ijl", dg))
-    return 0.5 * np.einsum("kl,ijl->kij", ginv, bracket)
+    """gamma[b, k, i, j] = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
+    return 0.5 * np.einsum("bkl,bijl->bkij", ginv, _bracket(dg))
 
 
+@_one_or_many
 def connection_coefficients(chart: ChartMetric, x, fd: FDConfig) -> np.ndarray:
-    """Christoffel symbols gamma[k, i, j] of the Levi-Civita connection."""
+    """Christoffel symbols gamma[b, k, i, j] of the Levi-Civita connection."""
     return metric_jet(chart, x, fd, second=False).gamma
 
 
 def _gamma_partials(jet: MetricJet) -> np.ndarray:
-    """dgamma[j, l, i, k] = partial_j gamma^l_{ik}, assembled analytically
-    from the metric jet (no nested differencing)."""
-    n = jet.g.shape[0]
-    dginv = -np.einsum("la,jab,bm->jlm", jet.ginv, jet.dg, jet.ginv)
-    bracket = (np.einsum("ikl->ikl", jet.dg)
-               + np.einsum("kil->ikl", jet.dg)
-               - np.einsum("lik->ikl", jet.dg))
-    dbracket = (np.einsum("jikl->jikl", jet.d2g)
-                + np.einsum("jkil->jikl", jet.d2g)
-                - np.einsum("jlik->jikl", jet.d2g))
-    return 0.5 * (np.einsum("jlm,ikm->jlik", dginv, bracket)
-                  + np.einsum("lm,jikm->jlik", jet.ginv, dbracket))
+    """dgamma[b, j, l, i, k] = partial_j gamma^l_{ik}, assembled
+    analytically from the metric jet (no nested differencing)."""
+    ginv = jet.ginv[:, None]
+    dginv = -(ginv @ jet.dg @ ginv)                      # [b, j, l, m]
+    return 0.5 * (np.einsum("bjlm,bikm->bjlik", dginv, _bracket(jet.dg))
+                  + np.einsum("blm,bjikm->bjlik", jet.ginv,
+                              _bracket(jet.d2g)))
 
 
 @dataclass(frozen=True)
 class CurvatureTensors:
-    riemann: np.ndarray     # riemann[l, i, j, k]: R(d_i, d_j)d_k = R^l d_l
+    riemann: np.ndarray     # riemann[b, l, i, j, k]: R(d_i, d_j)d_k = R^l d_l
     ricci: np.ndarray
-    scalar: float
+    scalar: np.ndarray
     jet: MetricJet
 
 
+@_one_or_many
 def curvature(chart: ChartMetric, x, fd: FDConfig) -> CurvatureTensors:
     """Riemann (stated sign convention), Ricci, and scalar curvature."""
     jet = metric_jet(chart, x, fd, second=True)
     dgamma = _gamma_partials(jet)
     gamma = jet.gamma
-    riemann = (np.einsum("jlik->lijk", dgamma)
-               - np.einsum("iljk->lijk", dgamma)
-               + np.einsum("mik,ljm->lijk", gamma, gamma)
-               - np.einsum("mjk,lim->lijk", gamma, gamma))
-    frame = orthonormal_frame(jet.g)
-    lowered = np.einsum("lm,lijk->ijkm", jet.g, riemann)
+    riemann = (np.einsum("bjlik->blijk", dgamma)
+               - np.einsum("biljk->blijk", dgamma)
+               + np.einsum("bmik,bljm->blijk", gamma, gamma)
+               - np.einsum("bmjk,blim->blijk", gamma, gamma))
     # Ric(w, w') = sum_alpha g(R(w, e_alpha)w', e_alpha)
-    ricci = np.einsum("aj,am,ijkm->ik", frame, frame, lowered)
-    ricci = 0.5 * (ricci + ricci.T)
-    scalar = float(np.einsum("ik,ik->", jet.ginv, ricci))
+    #            = (F^T F g)_{jl} R^l_{w j w'} for the frame rows F.
+    frame = orthonormal_frame(jet.g)
+    contract = np.swapaxes(frame, 1, 2) @ frame @ jet.g
+    ricci = np.einsum("bjl,blijk->bik", contract, riemann)
+    ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
+    scalar = np.einsum("bik,bik->b", jet.ginv, ricci)
     return CurvatureTensors(riemann=riemann, ricci=ricci, scalar=scalar,
                             jet=jet)
 
 
+def _gdot(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.einsum("bi,bij,bj->b", u, g, v)
+
+
 def orthonormal_frame(g: np.ndarray, seeds: Optional[np.ndarray] = None
                       ) -> np.ndarray:
-    """Gram-Schmidt orthonormal frame (rows) from the coordinate basis in
-    fixed index order, optionally preceded by seed vectors."""
-    n = g.shape[0]
-    candidates = list(seeds) if seeds is not None else []
-    candidates += list(np.eye(n))
-    frame = []
-    for v in candidates:
-        w = np.asarray(v, dtype=float).copy()
-        norm0 = np.sqrt(max(w @ g @ w, 0.0))
-        for e in frame:
-            w = w - (e @ g @ w) * e
-        norm = np.sqrt(max(w @ g @ w, 0.0))
-        if norm > 1e-10 * max(norm0, 1.0):
-            frame.append(w / norm)
-        if len(frame) == n:
-            break
-    if len(frame) != n:
-        raise SingularMetric("could not complete an orthonormal frame")
-    return np.asarray(frame)
+    """Gram-Schmidt orthonormal frames (rows) from the coordinate basis in
+    fixed index order, optionally preceded by seed vectors.
+
+    ``g`` is (B, n, n) with ``seeds`` (B, s, n), or one metric (n, n) with
+    seeds (s, n).  A candidate within 1e-10 of the span of the frame so far
+    is skipped.
+    """
+    g = np.asarray(g, dtype=float)
+    if g.ndim == 2:
+        seeds = None if seeds is None else np.asarray(seeds)[None]
+        return orthonormal_frame(g[None], seeds)[0]
+    B, n, _ = g.shape
+    candidates = np.broadcast_to(np.eye(n), (B, n, n))
+    if seeds is not None:
+        candidates = np.concatenate([np.asarray(seeds, dtype=float),
+                                     candidates], axis=1)
+    frame = np.zeros((B, n, n))
+    count = np.zeros(B, dtype=int)
+    for c in range(candidates.shape[1]):
+        w = candidates[:, c].copy()
+        norm0 = np.sqrt(np.maximum(_gdot(w, g, w), 0.0))
+        # Unfilled frame rows are zero and leave w unchanged.
+        for e in frame.transpose(1, 0, 2)[:int(count.max())]:
+            w = w - _gdot(e, g, w)[:, None] * e
+        norm = np.sqrt(np.maximum(_gdot(w, g, w), 0.0))
+        take = np.nonzero((norm > 1e-10 * np.maximum(norm0, 1.0))
+                          & (count < n))[0]
+        frame[take, count[take]] = w[take] / norm[take, None]
+        count[take] += 1
+        if np.all(count == n):
+            return frame
+    raise SingularMetric("could not complete an orthonormal frame")
 
 
 # ---------------------------------------------------------------------------
@@ -331,44 +380,40 @@ class PotentialDerivatives:
     grad_phi: np.ndarray
     dphi: np.ndarray
     hess_phi: np.ndarray
-    Y: float
-    Q: float
+    Y: np.ndarray
+    Q: np.ndarray
 
 
+@_one_or_many
 def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
                           jet: Optional[MetricJet] = None,
                           phi_fn: Optional[Callable] = None
                           ) -> PotentialDerivatives:
     """Gradient, covariant Hessian, Laplacian Y, and Q = g(grad, grad) of
     the chart potential (or of ``phi_fn`` when given)."""
-    x = np.asarray(x, dtype=float)
-    n = chart.n
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
     fn = phi_fn if phi_fn is not None else chart.phi
-    cloud = _Cloud(chart, fn, x, fd, second=True)
-    dphi = np.array([cloud.d1(i) for i in range(n)])
-    d2phi = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            d2phi[i, j] = d2phi[j, i] = cloud.d2(i, j)
-    hess = d2phi - np.einsum("kij,k->ij", jet.gamma, dphi)
-    hess = 0.5 * (hess + hess.T)
-    grad = jet.ginv @ dphi
-    Y = float(np.einsum("ij,ij->", jet.ginv, hess))
-    Q = float(dphi @ jet.ginv @ dphi)
-    return PotentialDerivatives(grad_phi=grad, dphi=dphi, hess_phi=hess,
-                                Y=Y, Q=Q)
+    _, dphi, d2phi = partials(fn, x, fd.h * chart.fd_scale(), fd.richardson,
+                              True, domain=chart.domain, value=False)
+    hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
+    hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
+    grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
+    return PotentialDerivatives(
+        grad_phi=grad, dphi=dphi, hess_phi=hess,
+        Y=np.einsum("bij,bij->b", jet.ginv, hess),
+        Q=np.einsum("bi,bi->b", dphi, grad))
 
 
-def point_tensors(chart: ChartMetric, x, fd: FDConfig) -> PointTensors:
-    """All tensors of interest at one point, sharing a single metric jet."""
-    curv = curvature(chart, x, fd)
-    pot = potential_derivatives(chart, x, fd, jet=curv.jet)
-    return PointTensors(gamma=curv.jet.gamma, riemann=curv.riemann,
-                        ricci=curv.ricci, scalar=curv.scalar,
-                        grad_phi=pot.grad_phi, hess_phi=pot.hess_phi,
-                        Y=pot.Y, Q=pot.Q)
+def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
+                       fd: FDConfig) -> np.ndarray:
+    """Euclidean gradient (B, n) of a scalar function at a batch of points.
+
+    The cloud keeps its center, so that the taps enter as differences from
+    the center value; that lowers the roundoff of the nested differences
+    (the Killing field, Q) built on this gradient."""
+    return partials(fn, np.asarray(pts, dtype=float), fd.h * chart.fd_scale(),
+                    fd.richardson, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +468,9 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     ss = np.empty(n_rec + 1)
     xs[:, 0], vs[:, 0], ss[0] = x, v, 0.0
 
-    rows, index = _stencil_plan(n, fd.richardson, False)
-    offsets = np.asarray(rows, dtype=float) * (0.5 * fd.h * chart.fd_scale())
+    h = fd.h * chart.fd_scale()
+    op = stencil(n, fd.richardson, False)
+    offsets = op.codes * (0.5 * h)
     P = offsets.shape[0]
 
     def accel(xb, vb, mask):
@@ -440,8 +486,7 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
             return acc, newmask
         vals = np.asarray(chart.g(pts)).reshape(-1, P, n, n)[ok]
         idx_active = np.nonzero(mask)[0][ok]
-        gam = _batch_gamma(vals, index, n, fd.richardson,
-                           fd.h * chart.fd_scale())
+        gam = _christoffel(np.linalg.inv(vals[:, 0]), op.apply(vals, h)[0])
         vv = vb[idx_active]
         acc[idx_active] = -np.einsum("bkij,bi,bj->bk", gam, vv, vv)
         return acc, newmask
@@ -475,90 +520,56 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     return GeodesicPath(s=ss, x=xs, v=vs, alive=alive, drift=drift)
 
 
-def _batch_gamma(vals: np.ndarray, index: dict, n: int, richardson: bool,
-                 h: float) -> np.ndarray:
-    """Christoffel symbols for a batch of pre-evaluated metric clouds."""
-    B = vals.shape[0]
-
-    def at(vec):
-        return vals[:, index[tuple(vec)]]
-
-    def d1_scale(i, s):
-        h_eff = 0.5 * h * s
-        acc = np.zeros((B, n, n))
-        for c, w in zip(_W1_OFF, _W1_WGT):
-            vec = [0] * n
-            vec[i] = c * s
-            acc += w * at(vec)
-        return acc / (12.0 * h_eff)
-
-    dg = np.empty((B, n, n, n))
-    for i in range(n):
-        if richardson:
-            dg[:, i] = (16.0 * d1_scale(i, 1) - d1_scale(i, 2)) / 15.0
-        else:
-            dg[:, i] = d1_scale(i, 2)
-    g0 = at((0,) * n)
-    ginv = np.linalg.inv(g0)
-    bracket = (np.einsum("bijl->bijl", dg) + np.einsum("bjil->bijl", dg)
-               - np.einsum("blij->bijl", dg))
-    return 0.5 * np.einsum("bkl,bijl->bkij", ginv, bracket)
-
-
 # ---------------------------------------------------------------------------
 # Kahler and Killing residuals
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class KahlerResiduals:
-    hermitian_res: float
-    domega_res: float
-    nabla_j_res: float
+    hermitian_res: np.ndarray
+    domega_res: np.ndarray
+    nabla_j_res: np.ndarray
 
-    def worst(self) -> float:
-        return max(self.hermitian_res, self.domega_res, self.nabla_j_res)
+    def worst(self):
+        return np.maximum.reduce([self.hermitian_res, self.domega_res,
+                                  self.nabla_j_res])
 
 
+@_one_or_many
 def kahler_residuals(chart: ChartMetric, x, fd: FDConfig) -> KahlerResiduals:
-    """Hermitian-metric, closed-form, and parallel-J residuals at a point.
+    """Hermitian-metric, closed-form, and parallel-J residuals per point.
 
     hermitian_res = max|J^T g J - g| / max|g|;
     domega_res    = max|(d omega)_{ijk}| / (1 + max|dg|), omega = J^T g;
     nabla_j_res   = max|gamma J - J gamma contraction| / (1 + max|gamma|).
     """
-    x = np.asarray(x, dtype=float)
     jet = metric_jet(chart, x, fd, second=False)
     J = chart.J
-    g_scale = float(np.max(np.abs(jet.g)))
-    herm = float(np.max(np.abs(J.T @ jet.g @ J - jet.g))) / g_scale
-    # omega_{jk} = (J^T g)_{jk}; d omega from the metric partials.
-    dom = np.einsum("mj,imk->ijk", J, jet.dg)
-    n = chart.n
-    res = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                val = dom[i, j, k] - dom[j, i, k] + dom[k, i, j]
-                res = max(res, abs(float(val)))
-    dscale = 1.0 + float(np.max(np.abs(jet.dg)))
+    herm = _amax(J.T @ jet.g @ J - jet.g) / _amax(jet.g)
+    # omega_{jk} = (J^T g)_{jk}; d omega from the metric partials, over the
+    # index triples i < j < k.
+    dom = np.einsum("mj,bimk->bijk", J, jet.dg)
+    cyclic = dom - np.swapaxes(dom, 1, 2) + np.moveaxis(dom, 1, -1)
+    i, j, k = np.indices((chart.n,) * 3)
+    domega = _amax(cyclic[:, (i < j) & (j < k)])
     # (nabla_k J)^i_j = gamma^i_{km} J^m_j - gamma^m_{kj} J^i_m.
-    nj = (np.einsum("ikm,mj->kij", jet.gamma, J)
-          - np.einsum("mkj,im->kij", jet.gamma, J))
-    gscale2 = 1.0 + float(np.max(np.abs(jet.gamma)))
+    nj = (np.einsum("bikm,mj->bkij", jet.gamma, J)
+          - np.einsum("bmkj,im->bkij", jet.gamma, J))
     return KahlerResiduals(hermitian_res=herm,
-                           domega_res=res / dscale,
-                           nabla_j_res=float(np.max(np.abs(nj))) / gscale2)
+                           domega_res=domega / (1.0 + _amax(jet.dg)),
+                           nabla_j_res=_amax(nj) / (1.0 + _amax(jet.gamma)))
 
 
 @dataclass(frozen=True)
 class KillingResiduals:
-    sym_nabla_u_res: float
-    hermitian_hess_res: float
+    sym_nabla_u_res: np.ndarray
+    hermitian_hess_res: np.ndarray
 
-    def worst(self) -> float:
-        return max(self.sym_nabla_u_res, self.hermitian_hess_res)
+    def worst(self):
+        return np.maximum(self.sym_nabla_u_res, self.hermitian_hess_res)
 
 
+@_one_or_many
 def killing_residual(chart: ChartMetric, x, fd: FDConfig,
                      phi_fn: Optional[Callable] = None) -> KillingResiduals:
     """Killing-field and Hermitian-Hessian residuals for u = J grad(phi).
@@ -566,68 +577,24 @@ def killing_residual(chart: ChartMetric, x, fd: FDConfig,
     sym_nabla_u_res    = max|symmetrized lowered nabla u| / (1 + max|nabla u|);
     hermitian_hess_res = max|H(J., .) + H(., J.)| / (1 + max|H|).
     """
-    x = np.asarray(x, dtype=float)
-    n = chart.n
     jet = metric_jet(chart, x, fd, second=False)
     phi = phi_fn if phi_fn is not None else chart.phi
     J = chart.J
 
     def u_field(pts):
-        pts = np.asarray(pts, dtype=float)
         ginvs = np.linalg.inv(np.asarray(chart.g(pts)))
         dphis = _batch_grad_scalar(chart, phi, pts, fd)
-        return np.einsum("kl,blm,bm->bk", J, ginvs, dphis)
+        return np.einsum("blm,bm->bl", ginvs, dphis) @ J.T
 
-    cloud = _Cloud(chart, u_field, x, fd, second=False)
-    du = np.stack([cloud.d1(i) for i in range(n)])    # du[j, k] = d_j u^k
-    u0 = cloud.center()
-    nu = du.T + np.einsum("kjm,m->kj", jet.gamma, u0)  # nabla_j u^k at [k, j]
-    lowered = np.einsum("ik,kj->ij", jet.g, nu)
-    sym = lowered + lowered.T
-    sym_res = float(np.max(np.abs(sym))) / (1.0 + float(np.max(np.abs(lowered))))
+    u0, du, _ = partials(u_field, x, fd.h * chart.fd_scale(), fd.richardson,
+                         False, domain=chart.domain)
+    # nabla_j u^k at [b, k, j]; du[b, j, k] = d_j u^k.
+    nu = np.swapaxes(du, 1, 2) + np.einsum("bkjm,bm->bkj", jet.gamma, u0)
+    lowered = jet.g @ nu
+    sym_res = (_amax(lowered + np.swapaxes(lowered, 1, 2))
+               / (1.0 + _amax(lowered)))
 
-    pot = potential_derivatives(chart, x, fd, jet=jet, phi_fn=phi)
-    H = pot.hess_phi
-    herm = J.T @ H @ J - H
-    herm_res = float(np.max(np.abs(herm))) / (1.0 + float(np.max(np.abs(H))))
+    H = potential_derivatives(chart, x, fd, jet=jet, phi_fn=phi).hess_phi
+    herm_res = _amax(J.T @ H @ J - H) / (1.0 + _amax(H))
     return KillingResiduals(sym_nabla_u_res=sym_res,
                             hermitian_hess_res=herm_res)
-
-
-def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
-                       fd: FDConfig) -> np.ndarray:
-    """Euclidean gradient of a scalar function at a batch of points."""
-    n = chart.n
-    h = fd.h * chart.fd_scale()
-    B = pts.shape[0]
-    scales = (2, 1) if fd.richardson else (2,)
-    cloud_pts = []
-    for s in scales:
-        for i in range(n):
-            for c in _W1_OFF:
-                off = np.zeros(n)
-                off[i] = c * s * 0.5 * h
-                cloud_pts.append(pts + off[None, :])
-    allpts = np.concatenate(cloud_pts, axis=0)
-    vals = np.asarray(fn(allpts), dtype=float).reshape(len(cloud_pts), B)
-    out = np.zeros((B, n))
-    block = 0
-
-    def d1_for_scale(s, block_start):
-        res = np.zeros((B, n))
-        b = block_start
-        for i in range(n):
-            acc = np.zeros(B)
-            for c, w in zip(_W1_OFF, _W1_WGT):
-                acc += w * vals[b]
-                b += 1
-            res[:, i] = acc / (12.0 * (0.5 * h * s))
-        return res, b
-
-    if fd.richardson:
-        d_h, block = d1_for_scale(2, 0)
-        d_h2, block = d1_for_scale(1, block)
-        out = (16.0 * d_h2 - d_h) / 15.0
-    else:
-        out, block = d1_for_scale(2, 0)
-    return out

@@ -10,7 +10,7 @@ tolerances are meaningful across models regardless of metric scale.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,15 +21,25 @@ from .tensor import (
     ChartMetric,
     FDConfig,
     GeodesicPath,
+    _amax,
     _batch_grad_scalar,
     curvature,
     geodesic_batch,
-    metric_jet,
     orthonormal_frame,
+    partials,
     potential_derivatives,
 )
 
 GRAD_FLOOR = 1.0e-6
+
+
+def _as_points(points) -> np.ndarray:
+    return np.atleast_2d(np.asarray(points, dtype=float))
+
+
+def _worst(residuals: np.ndarray) -> float:
+    """The largest of per-point residuals (0.0 for no points)."""
+    return float(np.max(residuals, initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -38,28 +48,35 @@ GRAD_FLOOR = 1.0e-6
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Orthonormal frame whose first two vectors span {grad phi, J grad phi}."""
+    """Orthonormal frames whose first two vectors span {grad phi, J grad phi}."""
 
     frame: np.ndarray      # rows: v_hat, u_hat, then the orthogonal block
-    Q: float
+    Q: np.ndarray
     grad_phi: np.ndarray
 
 
 def adapted_frame(chart: ChartMetric, g: np.ndarray, grad_phi: np.ndarray
                   ) -> AdaptedFrame:
-    Q = float(grad_phi @ g @ grad_phi)
-    if Q <= GRAD_FLOOR ** 2:
-        raise CriticalPoint(f"|grad phi|_g = {math.sqrt(max(Q, 0.0))} too "
-                            "small for an eigenstructure split")
-    v_hat = grad_phi / math.sqrt(Q)
-    u_hat = chart.J @ v_hat
-    frame = orthonormal_frame(g, seeds=np.stack([v_hat, u_hat]))
+    """Adapted frames at a batch of points: g (B, n, n), grad_phi (B, n)."""
+    Q = np.einsum("bi,bij,bj->b", grad_phi, g, grad_phi)
+    flat = Q <= GRAD_FLOOR ** 2
+    if np.any(flat):
+        k = int(np.argmax(flat))
+        raise CriticalPoint(f"|grad phi|_g = {math.sqrt(max(Q[k], 0.0))} too "
+                            f"small for an eigenstructure split at point {k}")
+    v_hat = grad_phi / np.sqrt(Q)[:, None]
+    u_hat = v_hat @ chart.J.T
+    frame = orthonormal_frame(g, seeds=np.stack([v_hat, u_hat], axis=1))
     return AdaptedFrame(frame=frame, Q=Q, grad_phi=grad_phi)
 
 
-def _frame_blocks(frame: np.ndarray, g: np.ndarray, tensor: np.ndarray):
-    """Components of a twice-covariant tensor in the adapted frame."""
-    return np.einsum("ai,ij,bj->ab", frame, tensor, frame)
+def _frame_blocks(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
+    """Components of twice-covariant tensors in the frames."""
+    return frame @ tensor @ np.swapaxes(frame, 1, 2)
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=1, axis2=2)
 
 
 # ---------------------------------------------------------------------------
@@ -107,57 +124,46 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     scal = 2 mu + 2(m-1) lam; the block residuals are the actual
     eigenstructure test.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     n = chart.n
-    out = {k: [] for k in ("phi", "Q", "sigma", "tau", "lam", "mu", "Y")}
-    res = dict(hh=0.0, hv=0.0, hm=0.0, rh=0.0, rv=0.0, rm=0.0)
+    curv = curvature(chart, points, fd)
+    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    af = adapted_frame(chart, curv.jet.g, pot.grad_phi)
+    hb = _frame_blocks(af.frame, pot.hess_phi)
+    rb = _frame_blocks(af.frame, curv.ricci)
+    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
+    mu = 0.5 * (rb[:, 0, 0] + rb[:, 1, 1])
+    if n > 2:
+        sigma = (pot.Y - 2.0 * tau) / (2.0 * (m - 1))
+        lam = (curv.scalar - 2.0 * mu) / (2.0 * (m - 1))
+    else:
+        sigma, lam = np.zeros_like(tau), np.zeros_like(mu)
+    h_scale = 1.0 + np.abs(tau) + np.abs(sigma)
+    r_scale = 1.0 + np.abs(mu) + np.abs(lam)
+    eye2 = np.eye(2)
+    res = dict(hh=0.0, hm=0.0, rh=0.0, rm=0.0,
+               hv=_worst(_amax(hb[:, :2, :2] - tau[:, None, None] * eye2)
+                         / h_scale),
+               rv=_worst(_amax(rb[:, :2, :2] - mu[:, None, None] * eye2)
+                         / r_scale))
     eps_ok = True
-    for x in points:
-        curv = curvature(chart, x, fd)
-        pot = potential_derivatives(chart, x, fd, jet=curv.jet)
-        af = adapted_frame(chart, curv.jet.g, pot.grad_phi)
-        hb = _frame_blocks(af.frame, curv.jet.g, pot.hess_phi)
-        rb = _frame_blocks(af.frame, curv.jet.g, curv.ricci)
-        tau = 0.5 * (hb[0, 0] + hb[1, 1])
-        mu = 0.5 * (rb[0, 0] + rb[1, 1])
-        if n > 2:
-            sigma = (pot.Y - 2.0 * tau) / (2.0 * (m - 1))
-            lam = (curv.scalar - 2.0 * mu) / (2.0 * (m - 1))
-        else:
-            sigma, lam = 0.0, 0.0
-        h_scale = 1.0 + abs(tau) + abs(sigma)
-        r_scale = 1.0 + abs(mu) + abs(lam)
-        vv = hb[:2, :2] - tau * np.eye(2)
-        res["hv"] = max(res["hv"], float(np.max(np.abs(vv))) / h_scale)
-        rv = rb[:2, :2] - mu * np.eye(2)
-        res["rv"] = max(res["rv"], float(np.max(np.abs(rv))) / r_scale)
-        if n > 2:
-            hh = hb[2:, 2:] - sigma * np.eye(n - 2)
-            res["hh"] = max(res["hh"], float(np.max(np.abs(hh))) / h_scale)
-            res["hm"] = max(res["hm"],
-                            float(np.max(np.abs(hb[:2, 2:]))) / h_scale)
-            rh = rb[2:, 2:] - lam * np.eye(n - 2)
-            res["rh"] = max(res["rh"], float(np.max(np.abs(rh))) / r_scale)
-            res["rm"] = max(res["rm"],
-                            float(np.max(np.abs(rb[:2, 2:]))) / r_scale)
-            if eps in (-1, 1):
-                sigma_h = float(np.trace(hb[2:, 2:])) / (n - 2)
-                if abs(sigma_h) > 1e-8 and int(np.sign(sigma_h)) != eps:
-                    eps_ok = False
-        out["phi"].append(float(chart.phi(x[None, :])[0]))
-        out["Q"].append(pot.Q)
-        out["sigma"].append(sigma)
-        out["tau"].append(tau)
-        out["lam"].append(lam)
-        out["mu"].append(mu)
-        out["Y"].append(pot.Y)
+    if n > 2:
+        eye = np.eye(n - 2)
+        res["hh"] = _worst(_amax(hb[:, 2:, 2:] - sigma[:, None, None] * eye)
+                           / h_scale)
+        res["hm"] = _worst(_amax(hb[:, :2, 2:]) / h_scale)
+        res["rh"] = _worst(_amax(rb[:, 2:, 2:] - lam[:, None, None] * eye)
+                           / r_scale)
+        res["rm"] = _worst(_amax(rb[:, :2, 2:]) / r_scale)
+        if eps in (-1, 1):
+            sigma_h = _trace(hb[:, 2:, 2:]) / (n - 2)
+            eps_ok = not np.any((np.abs(sigma_h) > 1e-8)
+                                & (np.sign(sigma_h) != eps))
     return EigenstructureReport(
-        points=points, phi=np.array(out["phi"]), Q=np.array(out["Q"]),
-        sigma=np.array(out["sigma"]), tau=np.array(out["tau"]),
-        lam=np.array(out["lam"]), mu=np.array(out["mu"]),
-        Y=np.array(out["Y"]),
+        points=points, phi=np.asarray(chart.phi(points), dtype=float),
+        Q=pot.Q, sigma=sigma, tau=tau, lam=lam, mu=mu, Y=pot.Y,
         hess_h_res=res["hh"], hess_v_res=res["hv"], hess_mixed_res=res["hm"],
         ricci_h_res=res["rh"], ricci_v_res=res["rv"], ricci_mixed_res=res["rm"],
         eps_consistent=eps_ok)
@@ -197,28 +203,11 @@ class IdentityReport:
         return max(vals)
 
 
-def _outer_covector(field_fn: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    """Order-4 differential of a scalar field given as a batch callable."""
-    n = x.shape[0]
-    offs = (-2, -1, 1, 2)
-    wgts = (1.0, -8.0, 8.0, -1.0)
-    pts = np.empty((4 * n, n))
-    k = 0
-    for i in range(n):
-        for c in offs:
-            pts[k] = x
-            pts[k, i] += c * h
-            k += 1
-    vals = np.asarray(field_fn(pts), dtype=float)
-    out = np.empty(n)
-    k = 0
-    for i in range(n):
-        acc = 0.0
-        for c, w in zip(offs, wgts):
-            acc += w * vals[k]
-            k += 1
-        out[i] = acc / (12.0 * h)
-    return out
+def _outer_differential(field_fn: Callable, points: np.ndarray,
+                        h: float) -> np.ndarray:
+    """Order-4 differentials (B, n) of a scalar field given as a batch
+    callable, from one call on the 4n outer stencil points of each point."""
+    return partials(field_fn, points, h, False, False, value=False)[1]
 
 
 def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
@@ -234,7 +223,7 @@ def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
 
 
 def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
-    """Vectorized x -> Y(x), the Laplacian of phi (pointwise loop inside).
+    """Vectorized x -> Y(x), the Laplacian of phi.
 
     Uses a widened inner step: Y feeds an outer derivative downstream, so
     its roundoff floor matters more than its truncation order.
@@ -242,16 +231,14 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     fd_inner = FDConfig(h=3.0 * fd.h, order=fd.order, richardson=fd.richardson)
 
     def yf(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        return np.array([potential_derivatives(chart, p, fd_inner).Y
-                         for p in pts])
+        return potential_derivatives(chart, _as_points(pts), fd_inner).Y
 
     return yf
 
 
 def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
                     ) -> IdentityReport:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     c = chart.meta.get("c")
@@ -259,44 +246,35 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     n = chart.n
     h_outer = 3.0 * fd.h * chart.fd_scale()
     h_outer_y = 9.0 * fd.h * chart.fd_scale()
-    qf = q_field(chart, fd)
-    yf = y_field(chart, fd)
 
-    dq_res = trace_res = dy_res = 0.0
-    ratio_res = 0.0 if (eps in (-1, 1) and c is not None) else None
-    prof_res = 0.0 if profile is not None else None
-    for x in points:
-        jet = metric_jet(chart, x, fd, second=False)
-        pot = potential_derivatives(chart, x, fd, jet=jet)
-        af = adapted_frame(chart, jet.g, pot.grad_phi)
-        hb = _frame_blocks(af.frame, jet.g, pot.hess_phi)
-        tau = 0.5 * (hb[0, 0] + hb[1, 1])
-        curv = curvature(chart, x, fd)
-        rb = _frame_blocks(af.frame, jet.g, curv.ricci)
-        mu = 0.5 * (rb[0, 0] + rb[1, 1])
-        dq = _outer_covector(qf, x, h_outer)
-        dq_res = max(dq_res, float(np.max(np.abs(dq - 2.0 * tau * pot.dphi)))
-                     / (1.0 + float(np.max(np.abs(dq)))))
-        if n > 2:
-            sigma_h = float(np.trace(hb[2:, 2:])) / (n - 2)
-        else:
-            sigma_h = 0.0
-        trace_res = max(trace_res,
-                        abs(pot.Y - 2.0 * tau - 2.0 * (m - 1) * sigma_h)
-                        / (1.0 + abs(pot.Y)))
-        if ratio_res is not None:
-            phi_val = float(chart.phi(x[None, :])[0])
-            ratio_res = max(ratio_res,
-                            abs(pot.Q - 2.0 * (phi_val - c) * sigma_h)
-                            / (1.0 + abs(pot.Q)))
-        dy = _outer_covector(yf, x, h_outer_y)
-        dy_res = max(dy_res, float(np.max(np.abs(dy + 2.0 * mu * pot.dphi)))
-                     / (1.0 + float(np.max(np.abs(dy)))))
-        if prof_res is not None:
-            phi_val = float(chart.phi(x[None, :])[0])
-            dqdphi = float(profile.dq(phi_val))
-            prof_res = max(prof_res,
-                           abs(2.0 * tau - dqdphi) / (1.0 + abs(dqdphi)))
+    curv = curvature(chart, points, fd)
+    jet = curv.jet
+    pot = potential_derivatives(chart, points, fd, jet=jet)
+    af = adapted_frame(chart, jet.g, pot.grad_phi)
+    hb = _frame_blocks(af.frame, pot.hess_phi)
+    rb = _frame_blocks(af.frame, curv.ricci)
+    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
+    mu = 0.5 * (rb[:, 0, 0] + rb[:, 1, 1])
+    sigma_h = (_trace(hb[:, 2:, 2:]) / (n - 2) if n > 2
+               else np.zeros_like(tau))
+    phis = np.asarray(chart.phi(points), dtype=float)
+
+    dq = _outer_differential(q_field(chart, fd), points, h_outer)
+    dq_res = _worst(_amax(dq - 2.0 * tau[:, None] * pot.dphi)
+                    / (1.0 + _amax(dq)))
+    trace_res = _worst(np.abs(pot.Y - 2.0 * tau - 2.0 * (m - 1) * sigma_h)
+                       / (1.0 + np.abs(pot.Y)))
+    ratio_res = None
+    if eps in (-1, 1) and c is not None:
+        ratio_res = _worst(np.abs(pot.Q - 2.0 * (phis - c) * sigma_h)
+                           / (1.0 + np.abs(pot.Q)))
+    dy = _outer_differential(y_field(chart, fd), points, h_outer_y)
+    dy_res = _worst(_amax(dy + 2.0 * mu[:, None] * pot.dphi)
+                    / (1.0 + _amax(dy)))
+    prof_res = None
+    if profile is not None:
+        dqdphi = np.asarray(profile.dq(phis), dtype=float)
+        prof_res = _worst(np.abs(2.0 * tau - dqdphi) / (1.0 + np.abs(dqdphi)))
     vacuous = ()
     if ratio_res is None:
         vacuous += ("sigma_ratio",)
@@ -348,7 +326,7 @@ def conformal_chart(chart: ChartMetric, phi_floor: float) -> ChartMetric:
 
 def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
                               fd: FDConfig) -> ConformalEinsteinReport:
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     profile: Optional[Profile] = chart.meta.get("profile")
     if profile is not None:
         phi_max = max(abs(profile.phi_min), abs(profile.phi_max))
@@ -360,32 +338,23 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
         raise PhiNearZero(f"|phi| <= {floor} at a requested point")
     tilde = conformal_chart(chart, 0.5 * floor)
     n = chart.n
-    h_outer_y = 9.0 * fd.h * chart.fd_scale()
-    yf = y_field(chart, fd)
 
-    einstein_res = 0.0
-    wedge_res = 0.0
-    lambdas = []
-    for x in points:
-        curv = curvature(tilde, x, fd)
-        lam = curv.scalar / n
-        frame = orthonormal_frame(curv.jet.g)
-        rb = np.einsum("ai,ij,bj->ab", frame, curv.ricci, frame)
-        einstein_res = max(einstein_res,
-                           float(np.max(np.abs(rb - lam * np.eye(n))))
-                           / (1.0 + abs(lam)))
-        lambdas.append(lam)
-        pot = potential_derivatives(chart, x, fd)
-        dy = _outer_covector(yf, x, h_outer_y)
-        wedge = np.abs(np.outer(pot.dphi, dy) - np.outer(dy, pot.dphi))
-        scale = 1.0 + float(np.linalg.norm(pot.dphi) * np.linalg.norm(dy))
-        wedge_res = max(wedge_res, float(np.max(wedge)) / scale)
-    lambdas = np.array(lambdas)
+    curv = curvature(tilde, points, fd)
+    lambdas = curv.scalar / n
+    rb = _frame_blocks(orthonormal_frame(curv.jet.g), curv.ricci)
+    einstein_res = _worst(_amax(rb - lambdas[:, None, None] * np.eye(n))
+                          / (1.0 + np.abs(lambdas)))
+    dphi = _batch_grad_scalar(chart, chart.phi, points, fd)
+    dy = _outer_differential(y_field(chart, fd), points,
+                             9.0 * fd.h * chart.fd_scale())
+    wedge = dphi[:, :, None] * dy[:, None, :] - dy[:, :, None] * dphi[:, None, :]
+    scale = 1.0 + np.linalg.norm(dphi, axis=1) * np.linalg.norm(dy, axis=1)
     spread = float(np.max(lambdas) - np.min(lambdas)) / (
         1.0 + float(np.median(np.abs(lambdas))))
     return ConformalEinsteinReport(einstein_res=einstein_res,
                                    lambda_spread=spread,
-                                   wedge_res=wedge_res, lambdas=lambdas)
+                                   wedge_res=_worst(_amax(wedge) / scale),
+                                   lambdas=lambdas)
 
 
 # ---------------------------------------------------------------------------
@@ -396,16 +365,12 @@ def soliton_report(chart: ChartMetric, p: float, s0: float,
                    points: np.ndarray, fd: FDConfig) -> float:
     """Max frame-component residual of Hess(phi) + p Ric - s0 g over the
     points, normalized by (1 + |s0|)."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    res = 0.0
-    for x in points:
-        curv = curvature(chart, x, fd)
-        pot = potential_derivatives(chart, x, fd, jet=curv.jet)
-        frame = orthonormal_frame(curv.jet.g)
-        combo = pot.hess_phi + p * curv.ricci - s0 * curv.jet.g
-        cb = np.einsum("ai,ij,bj->ab", frame, combo, frame)
-        res = max(res, float(np.max(np.abs(cb))) / (1.0 + abs(s0)))
-    return res
+    points = _as_points(points)
+    curv = curvature(chart, points, fd)
+    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    combo = pot.hess_phi + p * curv.ricci - s0 * curv.jet.g
+    cb = _frame_blocks(orthonormal_frame(curv.jet.g), combo)
+    return _worst(_amax(cb) / (1.0 + abs(s0)))
 
 
 # ---------------------------------------------------------------------------
@@ -529,30 +494,29 @@ def vertical_curvature_identity(chart: ChartMetric, points: np.ndarray,
     An extended oracle beyond the block residuals: it applies the full
     curvature tensor to specific frames.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
+    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
-    worst = 0.0
-    for x in points:
-        curv = curvature(chart, x, fd)
-        pot = potential_derivatives(chart, x, fd, jet=curv.jet)
-        af = adapted_frame(chart, curv.jet.g, pot.grad_phi)
-        hb = _frame_blocks(af.frame, curv.jet.g, pot.hess_phi)
-        tau = 0.5 * (hb[0, 0] + hb[1, 1])
-        sigma = (pot.Y - 2.0 * tau) / (2.0 * (m - 1)) if chart.n > 2 else 0.0
-        v = pot.grad_phi
-        u = chart.J @ v
-        block = af.frame[2:]
-        for i in range(len(block)):
-            for j in range(len(block)):
-                w, wp = block[i], block[j]
-                lhs = af.Q * np.einsum("lijk,i,j,k->l", curv.riemann, w, wp,
-                                       v)
-                coeff = 2.0 * (sigma - tau) * sigma * float(
-                    (chart.J @ w) @ curv.jet.g @ wp)
-                rhs = coeff * u
-                worst = max(worst, float(np.linalg.norm(lhs - rhs))
-                            / (1.0 + float(np.linalg.norm(rhs))))
-    return worst
+    curv = curvature(chart, points, fd)
+    g = curv.jet.g
+    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    af = adapted_frame(chart, g, pot.grad_phi)
+    hb = _frame_blocks(af.frame, pot.hess_phi)
+    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
+    sigma = ((pot.Y - 2.0 * tau) / (2.0 * (m - 1)) if chart.n > 2
+             else np.zeros_like(tau))
+    v = pot.grad_phi
+    u = v @ chart.J.T
+    block = af.frame[:, 2:]
+    # lhs[b, i, j] = Q R(w_i, w_j) v for the block rows w.
+    rv = np.einsum("blpqk,bk->blpq", curv.riemann, v)
+    lhs = af.Q[:, None, None, None] * np.einsum(
+        "bliq,bjq->bijl", np.einsum("blpq,bip->bliq", rv, block), block)
+    coeff = (2.0 * (sigma - tau) * sigma)[:, None, None] * (
+        (block @ chart.J.T) @ g @ np.swapaxes(block, 1, 2))
+    rhs = coeff[..., None] * u[:, None, None, :]
+    worst = (np.linalg.norm(lhs - rhs, axis=-1)
+             / (1.0 + np.linalg.norm(rhs, axis=-1)))
+    return _worst(worst.reshape(len(points), -1).max(axis=1, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ sweeps, and report rendering."""
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from skrp import cli
+from skrp import cli, models, tensor, verify
 from skrp.errors import ConfigError
 
 SPHERE_CONFIG = {
@@ -103,6 +104,50 @@ class TestRunConfig:
         code2, t2 = cli.run_config(SHELL_CONFIG, threads=2)
         assert (code1, strip(t1)) == (code2, strip(t2))
 
+    def test_check_error_becomes_failed_row(self):
+        # phi vanishes on the sphere's equator, so conformal_einstein raises
+        # PhiNearZero at some of 200 points; the run goes on.
+        config = json.loads(json.dumps(SPHERE_CONFIG))
+        config["checks"] = [{"name": "conformal_einstein", "points": 200},
+                            {"name": "kahler", "tolerance": 1e-6,
+                             "points": 4}]
+        code, text = cli.run_config(config)
+        assert code == 1
+        rows = [ln for ln in text.splitlines() if ln.startswith("check: ")]
+        assert rows[0].startswith("check: name=conformal_einstein "
+                                  "residual=inf")
+        assert "pass=false note=error PhiNearZero:" in rows[0]
+        assert "name=kahler_residuals" in rows[1] and "pass=true" in rows[1]
+        assert "summary: pass=1 fail=1 exit=1" in text
+
+    def test_sphere_fan_integrated_once(self, monkeypatch):
+        calls = []
+        fan = verify.sphere_normal_geodesics
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fan(*args, **kwargs)
+
+        monkeypatch.setattr(verify, "sphere_normal_geodesics", counted)
+        config = json.loads(json.dumps(SPHERE_CONFIG))
+        config["checks"] = [{"name": "distance", "expected": math.pi / 2,
+                             "tolerance": 1e-8},
+                            {"name": "normal_geodesics"}]
+        code, text = cli.run_config(config)
+        assert code == 0 and len(calls) == 1
+        rows = {}
+        for line in text.splitlines():
+            if line.startswith("check: "):
+                body = line[len("check: "):].partition(" note=")[0]
+                fields = dict(kv.split("=", 1) for kv in body.split(" "))
+                rows.setdefault(fields["name"], []).append(
+                    float(fields["residual"]))
+        sphere = models.build_sphere(models.SphereSpec(K=4.0, phi0=1.0))
+        direct = fan(sphere, tensor.FDConfig())
+        assert rows["distance_geodesic"] == [direct.distance_vs_L] * 2
+        assert rows["dphi_ds"] == [direct.dphids_res]
+        assert rows["gauss_orthogonality"] == [direct.gauss_res]
+
 
 class TestSweeps:
     def test_slope_poly_sign_changes(self):
@@ -178,6 +223,14 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"model": {"variant": "torus"},
                                    "checks": []}))
         assert cli.main(["verify", "--config", str(cfg)]) == 2
+
+    def test_bad_thread_variable_exit_two(self, tmp_path, capsys,
+                                          monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SHELL_CONFIG))
+        monkeypatch.setenv("SKRP_THREADS", "abc")
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_classify_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

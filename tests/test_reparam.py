@@ -82,6 +82,38 @@ class TestBuildReparam:
     def test_phi_of_r_out_of_range(self, quad_table):
         with pytest.raises(TableRangeExceeded):
             quad_table.phi_of_r(-1.0)
+        with pytest.raises(TableRangeExceeded):
+            quad_table.phi_of_r([1.0, 0.0])
+        with pytest.raises(TableRangeExceeded):
+            quad_table.phi_of_r(2.0 * rp.R_SENTINEL)
+
+    @pytest.mark.parametrize("family", ["quadratic", "type_a", "type_b",
+                                        "type_c", "polynomial", "custom"])
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_phi_of_r_round_trip_every_family(self, family, a):
+        profile = {
+            "quadratic": lambda: pf.make_profile(
+                pf.Quadratic(K=2.0, phi0=0.7), (-0.7, 0.7)),
+            "type_a": lambda: pf.find_admissible_interval(
+                pf.TypeA(m=3, K=1.5, alpha=0.0, eta=-2.0), 0.0),
+            "type_b": lambda: pf.find_admissible_interval(
+                pf.TypeB(m=3, K=0.0, alpha=-1.0, eta=-1.0), 0.0),
+            "type_c": lambda: pf.make_profile(
+                pf.TypeC(m=2, c=1.0, A=2.0, B=-0.3, C=0.05), (1.35, 2.55)),
+            "polynomial": lambda: pf.make_profile(
+                pf.Polynomial(coeffs=(1.0, 0.2, 0.3)), (-0.8, 0.9)),
+            "custom": lambda: pf.soliton_profile(
+                m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0,
+                anchor=(1.0, 0.5), rng=(0.4, 2.2)),
+        }[family]()
+        table = rp.build_reparam(profile, a=a)
+        lo, hi = profile.interval
+        phis = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 200)
+        radii = table.r_of_phi(phis)
+        back = table.r_of_phi(table.phi_of_r(radii))
+        assert np.max(np.abs(back / radii - 1.0)) <= 1e-12
+        assert table.phi_of_r(float(radii[7])) == pytest.approx(phis[7],
+                                                                abs=1e-12)
 
     def test_nonroot_endpoints(self):
         # Positive profile without roots: r extends smoothly to both ends.
