@@ -150,13 +150,17 @@ def _radial_chart(profile: Profile, a: float, m: int, theta_h_fn,
         if m == 1:
             out[:] = theta_v[:, None, None] * np.eye(2)[None]
             return out
-        xhat = pts / np.sqrt(r2)[:, None]
-        jxhat = xhat @ J.T
-        p_v = (np.einsum("bi,bj->bij", xhat, xhat)
-               + np.einsum("bi,bj->bij", jxhat, jxhat))
+        # theta_h I + (theta_v - theta_h) / r^2 (x x^T + Jx Jx^T), built in
+        # the output row by row: entry (i, j) sums the same two products in
+        # the same order as entry (j, i), so the result is exactly symmetric.
         theta_h = theta_h_fn(phi, r2)
-        out[:] = (theta_h[:, None, None] * (np.eye(n)[None] - p_v)
-                  + theta_v[:, None, None] * p_v)
+        jx = pts @ J.T
+        for i in range(n):
+            row = pts[:, i, None] * pts
+            row += jx[:, i, None] * jx
+            out[:, i] = row
+        out *= ((theta_v - theta_h) / r2)[:, None, None]
+        out.reshape(len(pts), n * n)[:, ::n + 1] += theta_h[:, None]
         return out
 
     def domain_fn(pts):
@@ -167,7 +171,7 @@ def _radial_chart(profile: Profile, a: float, m: int, theta_h_fn,
         return good & (logr > lr_lo - pad_lo) & (logr < lr_hi + pad_hi)
 
     meta = {"a": a, "m": m, "profile": profile, "table": table,
-            "fd_scale": 1.0, "r_range": (math.exp(lr_lo), math.exp(lr_hi)),
+            "r_range": (math.exp(lr_lo), math.exp(lr_hi)),
             "phi_window": (w_lo, w_hi)}
     meta.update(meta_extra)
     return ChartMetric(n=n, g=g_fn, J=J, phi=phi_fn, domain=domain_fn,
@@ -271,7 +275,7 @@ def build_sphere(spec: SphereSpec) -> SphereModel:
     chart = ChartMetric(
         n=2, g=g_fn, J=_ROT.copy(), phi=phi_fn, domain=domain_fn,
         meta={"model": "sphere", "m": 1, "a": a, "eps": 0, "c": None,
-              "K": K, "phi0": phi0, "profile": profile, "fd_scale": 1.0,
+              "K": K, "phi0": phi0, "profile": profile,
               "r_range": (0.0, np.inf)})
     return SphereModel(chart=chart, spec=spec)
 
@@ -406,7 +410,7 @@ def build_product(spec: ProductSpec) -> ChartMetric:
     return ChartMetric(
         n=4, g=g_fn, J=standard_J(2), phi=phi_fn, domain=domain_fn,
         meta={"model": "product", "m": 2, "eps": 0, "c": None, "K": K,
-              "t": t, "profile": profile, "fd_scale": 1.0, "a": None})
+              "t": t, "profile": profile, "a": None})
 
 
 # ---------------------------------------------------------------------------

@@ -6,17 +6,23 @@ smooth remainder integral.  Tables built here carry that split explicitly,
 which keeps r(phi) accurate arbitrarily close to the roots, where r tends to
 0 or infinity.  Arclength uses ds/dphi = sgn(a)/sqrt(Q), regularized at root
 endpoints by the substitution w = sqrt(phi - endpoint).
+
+A table builds only what its callers read: the arclength splines are built
+on first use of ``s_of_phi``, ``s_nodes`` or ``L`` (no pointwise check reads
+them), and the dual table reuses the log-radius split, negated term by term.
 """
 
 from __future__ import annotations
 
+import copy
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (
     AnchorOutOfRange,
@@ -122,6 +128,16 @@ class _LogRadius:
         """d(log r)/dphi = a/Q from the profile directly."""
         return self.a / np.asarray(self.profile.q(phi), dtype=float)
 
+    def negated(self) -> "_LogRadius":
+        """The split of -log r, which is the log radius for -a: every term
+        is linear in a, so negating each one is exact."""
+        out = copy.copy(self)
+        out.a, out.const = -self.a, -self.const
+        out.p_lo, out.p_hi = -self.p_lo, -self.p_hi
+        out._series = {e: (-c0, -c1) for e, (c0, c1) in self._series.items()}
+        out._R = PPoly(-self._R.c, self._R.x, extrapolate=self._R.extrapolate)
+        return out
+
 
 class _Arclength:
     """Cumulative arclength s(phi) = int dpsi / sqrt(Q) from the lo endpoint.
@@ -176,7 +192,8 @@ class ReparamTable:
     Nodes are stored in increasing-r order (equivalently increasing s, with
     s = 0 at the small-r end).  ``r_unbounded`` marks tables whose radial
     coordinate exceeds R_SENTINEL before the far endpoint, the finite
-    stand-in for r -> infinity.
+    stand-in for r -> infinity.  The arclength (``s_nodes``, ``L`` and
+    ``s_of_phi``) is built on first use and then kept.
     """
 
     profile: Profile
@@ -184,11 +201,8 @@ class ReparamTable:
     anchor: tuple[float, float]
     phi_nodes: np.ndarray = field(repr=False)
     r_nodes: np.ndarray = field(repr=False)
-    s_nodes: np.ndarray = field(repr=False)
-    L: float
     r_unbounded: bool
     _logr: _LogRadius = field(repr=False)
-    _arc: _Arclength = field(repr=False)
 
     # -- radial coordinate ---------------------------------------------------
 
@@ -254,22 +268,34 @@ class ReparamTable:
         """
         lo, hi = self.profile.interval
         pad = 1e-12 * (hi - lo)
-        grid = np.linspace(lo + pad, hi - pad, 4 * n)
-        logr_grid = np.asarray(self._logr.value(grid))
-        order = np.argsort(logr_grid)
-        logr_sorted = logr_grid[order]
-        phi_sorted = grid[order]
+        # The table nodes and the padded interval ends, in increasing-r
+        # order, seed the Newton iterations.
+        ends = (lo + pad, hi - pad) if self.a > 0 else (hi - pad, lo + pad)
+        phi_seed = np.concatenate([ends[:1], self.phi_nodes, ends[1:]])
+        logr_seed = np.asarray(self._logr.value(phi_seed))
         targets = np.linspace(logr_lo, logr_hi, n)
-        if targets[0] < logr_sorted[0] or targets[-1] > logr_sorted[-1]:
+        if targets[0] < logr_seed[0] or targets[-1] > logr_seed[-1]:
             raise TableRangeExceeded("log r window outside the table range")
-        phi = np.interp(targets, logr_sorted, phi_sorted)
+        phi = np.interp(targets, logr_seed, phi_seed)
         for _ in range(4):
             f = np.asarray(self._logr.value(phi)) - targets
             df = np.asarray(self._logr.derivative(phi))
             phi = np.clip(phi - f / df, lo + pad, hi - pad)
         return CubicSpline(targets, phi)
 
-    # -- arclength -------------------------------------------------------...
+    # -- arclength, built on first use --------------------------------------
+
+    @functools.cached_property
+    def _arc(self) -> _Arclength:
+        return _Arclength(self.profile)
+
+    @property
+    def L(self) -> float:
+        return self._arc.total
+
+    @functools.cached_property
+    def s_nodes(self) -> np.ndarray:
+        return self.s_of_phi(self.phi_nodes)
 
     def s_of_phi(self, phi):
         base = self._arc.from_lo(phi)
@@ -307,30 +333,7 @@ def build_reparam(profile: Profile, a: float,
 
     core = _LogRadius(profile, a)
     core.const = math.log(r_a) - float(core.value(phi_a))
-    arc = _Arclength(profile)
-
-    length = hi - lo
-    delta = ENDPOINT_CLIP * length
-    j = np.arange(N_TABLE)
-    phi_nodes = (lo + delta) + 0.5 * (length - 2 * delta) * (
-        1.0 - np.cos(np.pi * j / (N_TABLE - 1)))
-    logr = np.asarray(core.value(phi_nodes))
-    # r -> infinity at a root endpoint whose log-exponent a/Q' is negative.
-    unbounded = bool(np.any(logr > math.log(R_SENTINEL))
-                     or (core.root_lo and core.p_lo < 0)
-                     or (core.root_hi and core.p_hi < 0))
-    r_nodes = np.exp(np.minimum(logr, math.log(R_SENTINEL)))
-    s_from_lo = np.asarray(arc.from_lo(phi_nodes))
-    if a > 0:
-        s_nodes = s_from_lo
-    else:
-        phi_nodes = phi_nodes[::-1]
-        r_nodes = r_nodes[::-1]
-        s_nodes = arc.total - s_from_lo[::-1]
-    return ReparamTable(profile=profile, a=a, anchor=(phi_a, r_a),
-                        phi_nodes=phi_nodes, r_nodes=r_nodes, s_nodes=s_nodes,
-                        L=float(arc.total), r_unbounded=unbounded,
-                        _logr=core, _arc=arc)
+    return _table(profile, a, (phi_a, r_a), core)
 
 
 def dual_table(table: ReparamTable) -> ReparamTable:
@@ -340,7 +343,32 @@ def dual_table(table: ReparamTable) -> ReparamTable:
     anchor becomes (phi_a, 1/r_a), so r*(phi) = 1/r(phi) at every phi.
     """
     phi_a, r_a = table.anchor
-    return build_reparam(table.profile, -table.a, (phi_a, 1.0 / r_a))
+    return _table(table.profile, -table.a, (phi_a, 1.0 / r_a),
+                  table._logr.negated())
+
+
+def _table(profile: Profile, a: float, anchor: tuple[float, float],
+           core: _LogRadius) -> ReparamTable:
+    """The table of a log-radius split: nodes cosine-clustered toward the
+    endpoints, clipped ENDPOINT_CLIP of the interval length away from
+    them, in increasing-r order."""
+    lo, hi = profile.interval
+    length = hi - lo
+    delta = ENDPOINT_CLIP * length
+    j = np.arange(N_TABLE)
+    phi_nodes = (lo + delta) + 0.5 * (length - 2 * delta) * (
+        1.0 - np.cos(np.pi * j / (N_TABLE - 1)))
+    if a < 0:
+        phi_nodes = phi_nodes[::-1]
+    logr = np.asarray(core.value(phi_nodes))
+    # r -> infinity at a root endpoint whose log-exponent a/Q' is negative.
+    unbounded = bool(np.any(logr > math.log(R_SENTINEL))
+                     or (core.root_lo and core.p_lo < 0)
+                     or (core.root_hi and core.p_hi < 0))
+    r_nodes = np.exp(np.minimum(logr, math.log(R_SENTINEL)))
+    return ReparamTable(profile=profile, a=a, anchor=anchor,
+                        phi_nodes=phi_nodes, r_nodes=r_nodes,
+                        r_unbounded=unbounded, _logr=core)
 
 
 def critical_distance(profile: Profile, rel_tol: float = 1.0e-9) -> float:

@@ -51,8 +51,8 @@ _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12 h^2
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration: base step (times the chart's
-    fd_scale), stencil order, and one-level Richardson extrapolation."""
+    """Finite-difference configuration: the step h in chart coordinates,
+    stencil order, and one-level Richardson extrapolation."""
 
     h: float = 1.0e-3
     order: int = 4
@@ -82,9 +82,6 @@ class ChartMetric:
     phi: Callable = field(repr=False)
     domain: Callable = field(repr=False)
     meta: dict = field(default_factory=dict)
-
-    def fd_scale(self) -> float:
-        return float(self.meta.get("fd_scale", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +259,8 @@ class MetricJet:
 @_one_or_many
 def metric_jet(chart: ChartMetric, x, fd: FDConfig,
                second: bool = True) -> MetricJet:
-    g, dg, d2g = partials(chart.g, x, fd.h * chart.fd_scale(),
-                          fd.richardson, second, domain=chart.domain)
+    g, dg, d2g = partials(chart.g, x, fd.h, fd.richardson, second,
+                          domain=chart.domain)
     ev = np.linalg.eigvalsh(g)
     bad = (ev[:, 0] <= 0) | (ev[:, 0] < 1e-14 * ev[:, -1])
     if np.any(bad):
@@ -394,8 +391,8 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
     fn = phi_fn if phi_fn is not None else chart.phi
-    _, dphi, d2phi = partials(fn, x, fd.h * chart.fd_scale(), fd.richardson,
-                              True, domain=chart.domain, value=False)
+    _, dphi, d2phi = partials(fn, x, fd.h, fd.richardson, True,
+                              domain=chart.domain, value=False)
     hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
@@ -412,8 +409,8 @@ def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
     The cloud keeps its center, so that the taps enter as differences from
     the center value; that lowers the roundoff of the nested differences
     (the Killing field, Q) built on this gradient."""
-    return partials(fn, np.asarray(pts, dtype=float), fd.h * chart.fd_scale(),
-                    fd.richardson, False)[1]
+    return partials(fn, np.asarray(pts, dtype=float), fd.h, fd.richardson,
+                    False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +465,7 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     ss = np.empty(n_rec + 1)
     xs[:, 0], vs[:, 0], ss[0] = x, v, 0.0
 
-    h = fd.h * chart.fd_scale()
+    h = fd.h
     op = stencil(n, fd.richardson, False)
     offsets = op.codes * (0.5 * h)
     P = offsets.shape[0]
@@ -586,8 +583,8 @@ def killing_residual(chart: ChartMetric, x, fd: FDConfig,
         dphis = _batch_grad_scalar(chart, phi, pts, fd)
         return np.einsum("blm,bm->bl", ginvs, dphis) @ J.T
 
-    u0, du, _ = partials(u_field, x, fd.h * chart.fd_scale(), fd.richardson,
-                         False, domain=chart.domain)
+    u0, du, _ = partials(u_field, x, fd.h, fd.richardson, False,
+                         domain=chart.domain)
     # nabla_j u^k at [b, k, j]; du[b, j, k] = d_j u^k.
     nu = np.swapaxes(du, 1, 2) + np.einsum("bkjm,bm->bkj", jet.gamma, u0)
     lowered = jet.g @ nu

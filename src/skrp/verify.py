@@ -244,8 +244,8 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     c = chart.meta.get("c")
     profile: Optional[Profile] = chart.meta.get("profile")
     n = chart.n
-    h_outer = 3.0 * fd.h * chart.fd_scale()
-    h_outer_y = 9.0 * fd.h * chart.fd_scale()
+    h_outer = 3.0 * fd.h
+    h_outer_y = 9.0 * fd.h
 
     curv = curvature(chart, points, fd)
     jet = curv.jet
@@ -345,8 +345,7 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
     einstein_res = _worst(_amax(rb - lambdas[:, None, None] * np.eye(n))
                           / (1.0 + np.abs(lambdas)))
     dphi = _batch_grad_scalar(chart, chart.phi, points, fd)
-    dy = _outer_differential(y_field(chart, fd), points,
-                             9.0 * fd.h * chart.fd_scale())
+    dy = _outer_differential(y_field(chart, fd), points, 9.0 * fd.h)
     wedge = dphi[:, :, None] * dy[:, None, :] - dy[:, :, None] * dphi[:, None, :]
     scale = 1.0 + np.linalg.norm(dphi, axis=1) * np.linalg.norm(dy, axis=1)
     spread = float(np.max(lambdas) - np.min(lambdas)) / (
@@ -386,19 +385,17 @@ class NormalGeodesicReport:
 
 def _path_dphids_res(chart: ChartMetric, profile: Profile, sgn_a: float,
                      path: GeodesicPath, skip: int = 2) -> float:
-    """Residual of dphi/ds = sgn(a) sqrt(Q) along recorded path samples."""
-    B = path.x.shape[0]
-    s = path.s
-    ds = s[1] - s[0]
-    res = 0.0
-    for b in range(B):
-        phis = np.asarray(chart.phi(path.x[b]), dtype=float)
-        dphids = np.gradient(phis, ds, edge_order=2)
-        q = np.clip(np.asarray(profile.q(phis), dtype=float), 0.0, None)
-        expect = sgn_a * np.sqrt(q)
-        err = np.abs(dphids - expect)[skip:-skip if skip else None]
-        res = max(res, float(np.max(err)) / (1.0 + float(np.max(np.abs(expect)))))
-    return res
+    """Residual of dphi/ds = sgn(a) sqrt(Q) along recorded path samples,
+    normalized per ray."""
+    B, S, n = path.x.shape
+    ds = path.s[1] - path.s[0]
+    phis = np.asarray(chart.phi(path.x.reshape(-1, n)), dtype=float)
+    dphids = np.gradient(phis.reshape(B, S), ds, axis=1, edge_order=2)
+    q = np.clip(np.asarray(profile.q(phis), dtype=float), 0.0, None)
+    expect = sgn_a * np.sqrt(q).reshape(B, S)
+    err = np.abs(dphids - expect)[:, skip:-skip if skip else None]
+    return float(np.max(np.max(err, axis=1)
+                        / (1.0 + np.max(np.abs(expect), axis=1))))
 
 
 def _fan_gauss_res(chart: ChartMetric, path: GeodesicPath,
@@ -406,17 +403,14 @@ def _fan_gauss_res(chart: ChartMetric, path: GeodesicPath,
     """Max |g(x_s, x_t)| across a closed fan, x_t by adjacent differences,
     normalized by |x_s|_g |x_t|_g at each sample."""
     B, S, n = path.x.shape
-    res = 0.0
-    for t in range(1, S):
-        pts = path.x[:, t, :]
-        gs = np.asarray(chart.g(pts))
-        x_t = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * dtheta)
-        v = path.v[:, t, :]
-        ip = np.einsum("bi,bij,bj->b", v, gs, x_t)
-        nv = np.sqrt(np.einsum("bi,bij,bj->b", v, gs, v))
-        nt = np.sqrt(np.einsum("bi,bij,bj->b", x_t, gs, x_t))
-        res = max(res, float(np.max(np.abs(ip) / (1.0 + nv * nt))))
-    return res
+    pts = path.x[:, 1:]
+    v = path.v[:, 1:]
+    gs = np.asarray(chart.g(pts.reshape(-1, n))).reshape(B, S - 1, n, n)
+    x_t = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / (2 * dtheta)
+    ip = np.einsum("bti,btij,btj->bt", v, gs, x_t)
+    nv = np.sqrt(np.einsum("bti,btij,btj->bt", v, gs, v))
+    nt = np.sqrt(np.einsum("bti,btij,btj->bt", x_t, gs, x_t))
+    return float(np.max(np.abs(ip) / (1.0 + nv * nt), initial=0.0))
 
 
 def sphere_normal_geodesics(model, fd: FDConfig, n_fan: int = 16,

@@ -2,6 +2,7 @@
 and the tautological-bundle connection."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,6 +57,35 @@ class TestShell:
             expect = 2.0 * abs(phi[k] - c) / (abs(a) * r2) * float(w @ w)
             got = float(w @ g[k] @ w)
             assert abs(got - expect) < 1e-8 * max(1.0, abs(expect))
+
+    def test_metric_exactly_symmetric_and_lean(self, quadratic_profile):
+        # The metric equals its projector form theta_h (I - P) + theta_v P,
+        # is exactly symmetric, and one call allocates little beyond its
+        # output.
+        for m, count in ((2, 400), (4, 3332)):
+            chart = models.build_shell(models.ShellSpec(
+                m=m, profile=quadratic_profile, a=1.0, eps=1, c=-2.0))
+            pts = models.sample_points(chart, count, seed=11)
+            tracemalloc.start()
+            try:
+                g = chart.g(pts)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(g, g.swapaxes(1, 2))
+            if m == 4:
+                assert peak <= 1.5 * g.nbytes
+            r2 = np.einsum("bi,bi->b", pts, pts)
+            phi = chart.phi(pts)
+            theta_v = quadratic_profile.q(phi) / r2
+            theta_h = 2.0 * np.abs(phi + 2.0) / r2
+            xhat = pts / np.sqrt(r2)[:, None]
+            jxhat = xhat @ chart.J.T
+            P = (xhat[:, :, None] * xhat[:, None, :]
+                 + jxhat[:, :, None] * jxhat[:, None, :])
+            ref = (theta_h[:, None, None] * (np.eye(2 * m) - P)
+                   + theta_v[:, None, None] * P)
+            assert np.max(np.abs(g - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_metric_conditioning(self, shell_chart):
         pts = models.sample_points(shell_chart, 100, seed=9)

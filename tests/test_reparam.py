@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from skrp import models
 from skrp import profiles as pf
 from skrp import reparam as rp
 from skrp.errors import (
@@ -13,6 +14,29 @@ from skrp.errors import (
     TableRangeExceeded,
     WrongEndpoint,
 )
+
+
+FAMILIES = ("quadratic", "type_a", "type_b", "type_c", "polynomial", "custom")
+
+
+def family_profile(family):
+    """One profile of each family, on an interval with a simple root at
+    each end where the family has one."""
+    return {
+        "quadratic": lambda: pf.make_profile(
+            pf.Quadratic(K=2.0, phi0=0.7), (-0.7, 0.7)),
+        "type_a": lambda: pf.find_admissible_interval(
+            pf.TypeA(m=3, K=1.5, alpha=0.0, eta=-2.0), 0.0),
+        "type_b": lambda: pf.find_admissible_interval(
+            pf.TypeB(m=3, K=0.0, alpha=-1.0, eta=-1.0), 0.0),
+        "type_c": lambda: pf.make_profile(
+            pf.TypeC(m=2, c=1.0, A=2.0, B=-0.3, C=0.05), (1.35, 2.55)),
+        "polynomial": lambda: pf.make_profile(
+            pf.Polynomial(coeffs=(1.0, 0.2, 0.3)), (-0.8, 0.9)),
+        "custom": lambda: pf.soliton_profile(
+            m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0,
+            anchor=(1.0, 0.5), rng=(0.4, 2.2)),
+    }[family]()
 
 
 @pytest.fixture(scope="module")
@@ -87,25 +111,10 @@ class TestBuildReparam:
         with pytest.raises(TableRangeExceeded):
             quad_table.phi_of_r(2.0 * rp.R_SENTINEL)
 
-    @pytest.mark.parametrize("family", ["quadratic", "type_a", "type_b",
-                                        "type_c", "polynomial", "custom"])
+    @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_phi_of_r_round_trip_every_family(self, family, a):
-        profile = {
-            "quadratic": lambda: pf.make_profile(
-                pf.Quadratic(K=2.0, phi0=0.7), (-0.7, 0.7)),
-            "type_a": lambda: pf.find_admissible_interval(
-                pf.TypeA(m=3, K=1.5, alpha=0.0, eta=-2.0), 0.0),
-            "type_b": lambda: pf.find_admissible_interval(
-                pf.TypeB(m=3, K=0.0, alpha=-1.0, eta=-1.0), 0.0),
-            "type_c": lambda: pf.make_profile(
-                pf.TypeC(m=2, c=1.0, A=2.0, B=-0.3, C=0.05), (1.35, 2.55)),
-            "polynomial": lambda: pf.make_profile(
-                pf.Polynomial(coeffs=(1.0, 0.2, 0.3)), (-0.8, 0.9)),
-            "custom": lambda: pf.soliton_profile(
-                m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0,
-                anchor=(1.0, 0.5), rng=(0.4, 2.2)),
-        }[family]()
+        profile = family_profile(family)
         table = rp.build_reparam(profile, a=a)
         lo, hi = profile.interval
         phis = np.linspace(lo + 0.1 * (hi - lo), hi - 0.1 * (hi - lo), 200)
@@ -122,6 +131,78 @@ class TestBuildReparam:
         tab = rp.build_reparam(prof, a=0.7)
         assert not tab.r_unbounded
         assert np.all(np.isfinite(tab.r_nodes))
+
+
+class TestLeanTables:
+    """A table builds the arclength only when it is read, derives its dual
+    by negation, and seeds phi(log r) from its own nodes."""
+
+    def test_charts_leave_arclength_unbuilt(self, quadratic_profile):
+        charts = [
+            models.build_shell(models.ShellSpec(
+                m=3, profile=quadratic_profile, a=1.0, eps=1, c=-2.0)),
+            models.build_annulus(models.AnnulusSpec(
+                profile=quadratic_profile, a=-1.0)),
+        ]
+        for chart in charts:
+            built = vars(chart.meta["table"])
+            assert not {"_arc", "L", "s_nodes"} & set(built)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_lazy_arclength_equals_eager(self, family, a):
+        profile = family_profile(family)
+        table = rp.build_reparam(profile, a=a)
+        eager = rp._Arclength(profile)
+        from_lo = eager.from_lo(table.phi_nodes)
+        s_nodes = from_lo if a > 0 else eager.total - from_lo
+        assert table.L == float(eager.total)
+        assert np.array_equal(table.s_nodes, s_nodes)
+        lo, hi = profile.interval
+        phis = np.linspace(lo, hi, 101)
+        base = eager.from_lo(phis)
+        expect = base if a > 0 else eager.total - base
+        assert np.array_equal(table.s_of_phi(phis), expect)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_dual_log_radius_is_negated(self, family, a):
+        profile = family_profile(family)
+        table = rp.build_reparam(profile, a=a)
+        dual = rp.dual_table(table)
+        lo, hi = profile.interval
+        phis = np.linspace(lo + 1e-9 * (hi - lo), hi - 1e-9 * (hi - lo), 501)
+        assert np.array_equal(dual.log_r(phis), -table.log_r(phis))
+        assert dual.a == -a and dual.anchor == (table.anchor[0], 1.0)
+        assert np.array_equal(dual.phi_nodes, table.phi_nodes[::-1])
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_dense_knots_converged(self, family, a):
+        # The Newton step left at every knot of phi(log r), for windows
+        # 10% and 1e-4 of the interval in from its ends.
+        profile = family_profile(family)
+        table = rp.build_reparam(profile, a=a)
+        lo, hi = profile.interval
+        for frac in (0.1, 1e-4):
+            window = sorted((float(table.log_r(lo + frac * (hi - lo))),
+                             float(table.log_r(hi - frac * (hi - lo)))))
+            spline = table.dense_phi_of_logr(*window)
+            phi = spline(spline.x)
+            step = (table.log_r(phi) - spline.x) / (
+                a / np.asarray(profile.q(phi)))
+            assert np.max(np.abs(step)) <= 1e-14 * (hi - lo)
+
+    def test_dense_window_range(self, quad_table):
+        lo, hi = quad_table.profile.interval
+        pad = 1e-12 * (hi - lo)
+        ends = sorted((float(quad_table.log_r(lo + pad)),
+                       float(quad_table.log_r(hi - pad))))
+        quad_table.dense_phi_of_logr(*ends, n=64)
+        with pytest.raises(TableRangeExceeded):
+            quad_table.dense_phi_of_logr(ends[0], ends[1] + 1e-6, n=64)
+        with pytest.raises(TableRangeExceeded):
+            quad_table.dense_phi_of_logr(ends[0] - 1e-6, ends[1], n=64)
 
 
 class TestDistanceInvariant:

@@ -189,14 +189,42 @@ class TestGeodesics:
         assert not path.alive[0]
 
 
+def killing_roundoff_bound(fd, n, phi_max):
+    """Roundoff bound of ``killing_residual`` on a flat chart.
+
+    A value of phi carries an error of at most eps phi_max, phi_max the
+    largest |phi| on the nested stencil clouds.  A first-derivative row with
+    unit-step weights w turns value errors e into at most 2 e sum|w| / h
+    (each tap enters as a difference from the center), so the gradient
+    carries 2 S1 eps phi_max / h and nabla u, a difference of gradients,
+    4 S1^2 eps phi_max / h^2; a Hessian entry carries 2 S2 eps phi_max / h^2.
+    Symmetrizing, or forming J^T H J - H, at most doubles these, and the
+    normalizations 1 + max|.| are at least 1.
+    """
+    op = tensor.stencil(n, fd.richardson, True)
+    sums = np.sum(np.abs(op.W), axis=1)
+    s1, s2 = np.max(sums[:n]), np.max(sums[n:])
+    eps = np.finfo(float).eps
+    return 8.0 * max(s1 ** 2, s2) * eps * phi_max / fd.h ** 2
+
+
 class TestResidualOperators:
     def test_euclidean_clean(self, fd):
         ch = euclidean_chart(2)
         x = np.array([0.3, -0.2, 0.5, 0.1])
         kr = tensor.kahler_residuals(ch, x, fd)
         assert kr.worst() < 1e-12
-        km = tensor.killing_residual(ch, x, fd)
-        assert km.worst() < 1e-10
+        # phi = |x|^2 gives the Killing field u = J grad phi exactly, so its
+        # residual is roundoff; phi = x0^2 + 2 x1^2 does not.
+        pts = np.random.default_rng(20).uniform(-0.6, 0.6, (20, 4))
+        reach = np.linalg.norm(pts, axis=1) + 4.0 * fd.h  # nested clouds
+        km = tensor.killing_residual(ch, pts, fd)
+        assert np.all(km.worst() <= killing_roundoff_bound(fd, 4, reach ** 2))
+        skewed = euclidean_chart(
+            2, phi=lambda p: p[:, 0] ** 2 + 2.0 * p[:, 1] ** 2)
+        bad = tensor.killing_residual(skewed, pts, fd)
+        assert np.all(bad.worst() >= 1e4 * killing_roundoff_bound(
+            fd, 4, 2.0 * reach ** 2))
 
     def test_shell_clean(self, fd, shell_chart):
         for x in models.sample_points(shell_chart, 5, seed=8):
