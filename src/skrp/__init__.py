@@ -39,7 +39,6 @@ from .tensor import (
     FDConfig,
     connection_coefficients,
     curvature,
-    geodesic,
     geodesic_batch,
     kahler_residuals,
     killing_residual,

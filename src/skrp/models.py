@@ -213,12 +213,13 @@ def inversion_point(pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def inversion_jacobian(p: np.ndarray) -> np.ndarray:
-    """Jacobian matrix of the inversion at a single point of R^2 minus 0."""
-    x, y = float(p[0]), float(p[1])
-    r2 = x * x + y * y
-    return np.array([[y * y - x * x, -2.0 * x * y],
-                     [2.0 * x * y, y * y - x * x]]) / r2 ** 2
+def inversion_jacobian(pts: np.ndarray) -> np.ndarray:
+    """Jacobian matrices (B, 2, 2) of the inversion at points (B, 2) of
+    R^2 minus 0."""
+    x, y = np.asarray(pts, dtype=float).T
+    r4 = (x * x + y * y) ** 2
+    diag, off = (y * y - x * x) / r4, 2.0 * x * y / r4
+    return np.stack([diag, -off, off, diag], axis=1).reshape(-1, 2, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -419,23 +420,25 @@ def build_product(spec: ProductSpec) -> ChartMetric:
 
 @dataclass(frozen=True)
 class ConnectionData:
-    """Connection form, curvature form, and Fubini-Study form at a point.
+    """Connection form, curvature form, and Fubini-Study form at a batch of
+    points, each with the point axis first.
 
-    ``gamma`` holds the complex values of the connection form on the two
-    coordinate directions; ``omega`` is the dy1^dy2 coefficient of the
-    curvature form (its imaginary part is a residual); ``omega_fs`` is the
-    dy1^dy2 coefficient of the Fubini-Study Kahler form normalized so a
-    projective line has area pi.
+    ``gamma`` (B, 2) holds the complex values of the connection form on the
+    two coordinate directions; ``omega`` (B,) is the dy1^dy2 coefficient of
+    the curvature form (its imaginary part is a residual); ``omega_fs`` (B,)
+    is the dy1^dy2 coefficient of the Fubini-Study Kahler form normalized so
+    a projective line has area pi.
     """
 
-    gamma: tuple[complex, complex]
-    omega: complex
-    omega_fs: float
+    gamma: np.ndarray
+    omega: np.ndarray
+    omega_fs: np.ndarray
 
 
-def tautological_connection(y, fd: Optional[FDConfig] = None
+def tautological_connection(y: np.ndarray, fd: Optional[FDConfig] = None
                             ) -> ConnectionData:
-    """Canonical-connection data at a point of the affine chart of CP^1.
+    """Canonical-connection data at points y (B, 2) of the affine chart of
+    CP^1.
 
     The connection form of the section w(y) = (1, y) under the projection
     of the flat connection is Gamma(v) = <dw(v), w> / <w, w> with the
@@ -448,21 +451,17 @@ def tautological_connection(y, fd: Optional[FDConfig] = None
     y = np.asarray(y, dtype=float)
 
     def gamma_components(pts):
-        pts = np.asarray(pts, dtype=float)
         z = pts[:, 0] + 1j * pts[:, 1]
         denom = 1.0 + np.abs(z) ** 2
         return np.conj(z) / denom     # Gamma(e1); Gamma(e2) = i * this
 
-    value, d, _ = partials(gamma_components, y[None, :], fd.h, fd.richardson,
-                           False)
-    g1_0 = complex(value[0])
+    g1, d, _ = partials(gamma_components, y, fd.h, fd.richardson, False)
     # dGamma = (d1 Gamma2 - d2 Gamma1) dy1^dy2 with Gamma2 = i Gamma1.
-    dgamma = 1j * d[0, 0] - d[0, 1]
-    omega = 1j * dgamma
-    r2 = float(y @ y)
-    omega_fs = 1.0 / (1.0 + r2) ** 2
-    return ConnectionData(gamma=(g1_0, 1j * g1_0), omega=complex(omega),
-                          omega_fs=omega_fs)
+    dgamma = 1j * d[:, 0] - d[:, 1]
+    r2 = np.einsum("bi,bi->b", y, y)
+    return ConnectionData(gamma=np.stack([g1, 1j * g1], axis=1),
+                          omega=1j * dgamma,
+                          omega_fs=1.0 / (1.0 + r2) ** 2)
 
 
 # ---------------------------------------------------------------------------

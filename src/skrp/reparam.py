@@ -264,7 +264,10 @@ class ReparamTable:
         Nodes are uniform in log r; each is polished by vectorized Newton
         iterations on log r(phi) (whose derivative a/Q is exact), so the
         interpolant is accurate to near machine precision and safe to
-        finite-difference.
+        finite-difference.  Four steps converge an ordinary window; a window
+        reaching near a root of Q, where log r ~ p log(phi - root), takes
+        more, until no node moves by more than 1e-14 of the interval length
+        (at most 50 steps).
         """
         lo, hi = self.profile.interval
         pad = 1e-12 * (hi - lo)
@@ -277,10 +280,15 @@ class ReparamTable:
         if targets[0] < logr_seed[0] or targets[-1] > logr_seed[-1]:
             raise TableRangeExceeded("log r window outside the table range")
         phi = np.interp(targets, logr_seed, phi_seed)
-        for _ in range(4):
+        tol = 1e-14 * (hi - lo)
+        for step in range(50):
             f = np.asarray(self._logr.value(phi)) - targets
             df = np.asarray(self._logr.derivative(phi))
-            phi = np.clip(phi - f / df, lo + pad, hi - pad)
+            new = np.clip(phi - f / df, lo + pad, hi - pad)
+            done = step >= 3 and np.max(np.abs(new - phi)) <= tol
+            phi = new
+            if done:
+                break
         return CubicSpline(targets, phi)
 
     # -- arclength, built on first use --------------------------------------

@@ -10,11 +10,11 @@ partial, one per second partial, with the Richardson combination folded in.
 Operators are built on first use and cached per (n, richardson, second).
 
 Every function below takes a batch of points with points as the leading
-axis, shape (B, n), and also a single point of shape (n,), for which it
-returns unbatched results.  The clouds of a batch go through the chart's
-vectorized callables in chunks of about CHUNK_POINTS stencil points, and
-each chunk is reduced to partials by one product ``W @ values`` before the
-next is evaluated, which bounds memory while keeping each call large.
+axis, shape (B, n), and returns arrays with the point axis first; one point
+is a batch of one, shape (1, n).  The clouds of a batch go through the
+chart's vectorized callables in chunks of about CHUNK_POINTS stencil points,
+and each chunk is reduced to partials by one product ``W @ values`` before
+the next is evaluated, which bounds memory while keeping each call large.
 
 Curvature follows the sign convention
 
@@ -31,7 +31,6 @@ K has Ricci = +K g, which the test suite pins.
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -51,19 +50,16 @@ _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12 h^2
 
 @dataclass(frozen=True)
 class FDConfig:
-    """Finite-difference configuration: the step h in chart coordinates,
-    stencil order, and one-level Richardson extrapolation."""
+    """Finite-difference configuration: the step h in chart coordinates of
+    the order-4 five-point stencils, and whether one level of Richardson
+    extrapolation (steps h and h/2) is applied."""
 
     h: float = 1.0e-3
-    order: int = 4
     richardson: bool = True
 
     def __post_init__(self):
         if not self.h > 0:
             raise ValueError("FDConfig.h must be positive")
-        if self.order != 4:
-            raise ValueError("only the order-4 five-point stencil is "
-                             "implemented")
 
 
 @dataclass(frozen=True)
@@ -207,34 +203,6 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
             np.concatenate(d2s) if second else None)
 
 
-def _take(obj, index):
-    """``obj`` with every array in it (through dataclass fields) indexed by
-    ``index``: 0 picks the first point, None adds a leading axis."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj[index]
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return dataclasses.replace(obj, **{
-            f.name: _take(getattr(obj, f.name), index)
-            for f in dataclasses.fields(obj)})
-    return obj
-
-
-def _one_or_many(fn):
-    """Let ``fn(chart, x, fd, ...)``, written for a batch x of shape (B, n),
-    take one point of shape (n,) as well: array arguments (such as a
-    ``jet``) and results are then those of that one point."""
-
-    @functools.wraps(fn)
-    def wrapper(chart, x, fd, *args, **kwargs):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return fn(chart, x, fd, *args, **kwargs)
-        args = [_take(v, None) for v in args]
-        kwargs = {k: _take(v, None) for k, v in kwargs.items()}
-        return _take(fn(chart, x[None, :], fd, *args, **kwargs), 0)
-    return wrapper
-
-
 def _amax(a: np.ndarray) -> np.ndarray:
     """max |a| over all axes but the leading (point) axis."""
     return np.max(np.abs(a).reshape(len(a), -1), axis=1, initial=0.0)
@@ -256,7 +224,6 @@ class MetricJet:
     gamma: np.ndarray               # gamma[b, k, i, j]
 
 
-@_one_or_many
 def metric_jet(chart: ChartMetric, x, fd: FDConfig,
                second: bool = True) -> MetricJet:
     g, dg, d2g = partials(chart.g, x, fd.h, fd.richardson, second,
@@ -283,7 +250,6 @@ def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("bkl,bijl->bkij", ginv, _bracket(dg))
 
 
-@_one_or_many
 def connection_coefficients(chart: ChartMetric, x, fd: FDConfig) -> np.ndarray:
     """Christoffel symbols gamma[b, k, i, j] of the Levi-Civita connection."""
     return metric_jet(chart, x, fd, second=False).gamma
@@ -307,7 +273,6 @@ class CurvatureTensors:
     jet: MetricJet
 
 
-@_one_or_many
 def curvature(chart: ChartMetric, x, fd: FDConfig) -> CurvatureTensors:
     """Riemann (stated sign convention), Ricci, and scalar curvature."""
     jet = metric_jet(chart, x, fd, second=True)
@@ -337,14 +302,10 @@ def orthonormal_frame(g: np.ndarray, seeds: Optional[np.ndarray] = None
     """Gram-Schmidt orthonormal frames (rows) from the coordinate basis in
     fixed index order, optionally preceded by seed vectors.
 
-    ``g`` is (B, n, n) with ``seeds`` (B, s, n), or one metric (n, n) with
-    seeds (s, n).  A candidate within 1e-10 of the span of the frame so far
-    is skipped.
+    ``g`` is (B, n, n) and ``seeds`` (B, s, n).  A candidate within 1e-10 of
+    the span of the frame so far is skipped.
     """
     g = np.asarray(g, dtype=float)
-    if g.ndim == 2:
-        seeds = None if seeds is None else np.asarray(seeds)[None]
-        return orthonormal_frame(g[None], seeds)[0]
     B, n, _ = g.shape
     candidates = np.broadcast_to(np.eye(n), (B, n, n))
     if seeds is not None:
@@ -381,7 +342,6 @@ class PotentialDerivatives:
     Q: np.ndarray
 
 
-@_one_or_many
 def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
                           jet: Optional[MetricJet] = None,
                           phi_fn: Optional[Callable] = None
@@ -428,15 +388,6 @@ class GeodesicPath:
     v: np.ndarray
     alive: np.ndarray
     drift: np.ndarray
-
-
-def geodesic(chart: ChartMetric, x0, w0, s_max: float, fd: FDConfig,
-             n_steps: int = 4096, record_every: int = 8) -> GeodesicPath:
-    """Single-geodesic wrapper over ``geodesic_batch``."""
-    path = geodesic_batch(chart, np.asarray(x0, dtype=float)[None, :],
-                          np.asarray(w0, dtype=float)[None, :],
-                          s_max, fd, n_steps, record_every)
-    return path
 
 
 def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
@@ -532,7 +483,6 @@ class KahlerResiduals:
                                   self.nabla_j_res])
 
 
-@_one_or_many
 def kahler_residuals(chart: ChartMetric, x, fd: FDConfig) -> KahlerResiduals:
     """Hermitian-metric, closed-form, and parallel-J residuals per point.
 
@@ -566,7 +516,6 @@ class KillingResiduals:
         return np.maximum(self.sym_nabla_u_res, self.hermitian_hess_res)
 
 
-@_one_or_many
 def killing_residual(chart: ChartMetric, x, fd: FDConfig,
                      phi_fn: Optional[Callable] = None) -> KillingResiduals:
     """Killing-field and Hermitian-Hessian residuals for u = J grad(phi).

@@ -33,10 +33,6 @@ from .tensor import (
 GRAD_FLOOR = 1.0e-6
 
 
-def _as_points(points) -> np.ndarray:
-    return np.atleast_2d(np.asarray(points, dtype=float))
-
-
 def _worst(residuals: np.ndarray) -> float:
     """The largest of per-point residuals (0.0 for no points)."""
     return float(np.max(residuals, initial=0.0))
@@ -124,7 +120,6 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     scal = 2 mu + 2(m-1) lam; the block residuals are the actual
     eigenstructure test.
     """
-    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     n = chart.n
@@ -214,7 +209,6 @@ def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     """Vectorized x -> Q(x) = g(grad phi, grad phi)(x)."""
 
     def qf(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         gs = np.asarray(chart.g(pts))
         dphis = _batch_grad_scalar(chart, chart.phi, pts, fd)
         return np.einsum("bi,bij,bj->b", dphis, np.linalg.inv(gs), dphis)
@@ -228,17 +222,16 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     Uses a widened inner step: Y feeds an outer derivative downstream, so
     its roundoff floor matters more than its truncation order.
     """
-    fd_inner = FDConfig(h=3.0 * fd.h, order=fd.order, richardson=fd.richardson)
+    fd_inner = FDConfig(h=3.0 * fd.h, richardson=fd.richardson)
 
     def yf(pts):
-        return potential_derivatives(chart, _as_points(pts), fd_inner).Y
+        return potential_derivatives(chart, pts, fd_inner).Y
 
     return yf
 
 
 def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
                     ) -> IdentityReport:
-    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     c = chart.meta.get("c")
@@ -310,12 +303,10 @@ def conformal_chart(chart: ChartMetric, phi_floor: float) -> ChartMetric:
     """The chart carrying g~ = g / phi^2 on the locus |phi| > phi_floor."""
 
     def g_fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         phi = np.asarray(chart.phi(pts), dtype=float)
         return np.asarray(chart.g(pts)) / (phi ** 2)[:, None, None]
 
     def domain_fn(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         inside = np.asarray(chart.domain(pts), dtype=bool)
         phi = np.asarray(chart.phi(pts), dtype=float)
         return inside & (np.abs(phi) > phi_floor)
@@ -326,7 +317,6 @@ def conformal_chart(chart: ChartMetric, phi_floor: float) -> ChartMetric:
 
 def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
                               fd: FDConfig) -> ConformalEinsteinReport:
-    points = _as_points(points)
     profile: Optional[Profile] = chart.meta.get("profile")
     if profile is not None:
         phi_max = max(abs(profile.phi_min), abs(profile.phi_max))
@@ -364,7 +354,6 @@ def soliton_report(chart: ChartMetric, p: float, s0: float,
                    points: np.ndarray, fd: FDConfig) -> float:
     """Max frame-component residual of Hess(phi) + p Ric - s0 g over the
     points, normalized by (1 + |s0|)."""
-    points = _as_points(points)
     curv = curvature(chart, points, fd)
     pot = potential_derivatives(chart, points, fd, jet=curv.jet)
     combo = pot.hess_phi + p * curv.ricci - s0 * curv.jet.g
@@ -488,7 +477,6 @@ def vertical_curvature_identity(chart: ChartMetric, points: np.ndarray,
     An extended oracle beyond the block residuals: it applies the full
     curvature tensor to specific frames.
     """
-    points = _as_points(points)
     m = int(chart.meta.get("m", chart.n // 2))
     curv = curvature(chart, points, fd)
     g = curv.jet.g

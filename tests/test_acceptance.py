@@ -43,10 +43,8 @@ def test_criterion_01_sphere_curvature(fd):
         np.exp(rng.uniform(math.log(0.05), math.log(2.0), 40))])
     angles = rng.uniform(0, 2 * math.pi, 50)
     pts = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    worst = 0.0
-    for x in pts:
-        curv = tensor.curvature(model.chart, x, fd)
-        worst = max(worst, abs(curv.scalar / 2.0 - 4.0) / 4.0)
+    curv = tensor.curvature(model.chart, pts, fd)
+    worst = float(np.max(np.abs(curv.scalar / 2.0 - 4.0) / 4.0))
     _criterion(1, "sphere curvature", worst < 1e-5,
                f"max relative deviation {worst:.3e} at 50 points "
                "(tol 1e-5)")
@@ -139,11 +137,9 @@ def test_criterion_05_conformally_einstein(fd):
 def test_criterion_06_canonical_connection(fd):
     rng = np.random.default_rng(1009)
     pts = rng.normal(size=(100, 2)) * 1.2
-    worst = worst_im = 0.0
-    for y in pts:
-        data = models.tautological_connection(y, fd)
-        worst = max(worst, abs(data.omega.real + 2.0 * data.omega_fs))
-        worst_im = max(worst_im, abs(data.omega.imag))
+    data = models.tautological_connection(pts, fd)
+    worst = float(np.max(np.abs(data.omega.real + 2.0 * data.omega_fs)))
+    worst_im = float(np.max(np.abs(data.omega.imag)))
     _criterion(6, "canonical connection", worst < 1e-6,
                f"|curvature form + 2 FS form| {worst:.3e} at 100 points "
                f"(tol 1e-6), imaginary part {worst_im:.3e}")
@@ -158,16 +154,12 @@ def test_criterion_07_duality():
     pts = models.sample_points(chart, 100, seed=1010)
     star = models.inversion_point(pts)
     g = np.asarray(chart.g(pts))
-    worst_g = worst_phi = 0.0
-    for k in range(len(pts)):
-        jac = models.inversion_jacobian(pts[k])
-        gs = np.asarray(dual.g(star[k][None, :]))[0]
-        pull = jac.T @ gs @ jac
-        worst_g = max(worst_g,
-                      np.max(np.abs(pull - g[k])) / np.max(np.abs(g[k])))
-        worst_phi = max(worst_phi, abs(
-            float(chart.phi(pts[k][None, :])[0])
-            - float(dual.phi(star[k][None, :])[0])))
+    jac = models.inversion_jacobian(pts)
+    pull = np.swapaxes(jac, 1, 2) @ np.asarray(dual.g(star)) @ jac
+    worst_g = float(np.max(np.max(np.abs(pull - g), axis=(1, 2))
+                           / np.max(np.abs(g), axis=(1, 2))))
+    worst_phi = float(np.max(np.abs(np.asarray(chart.phi(pts))
+                                    - np.asarray(dual.phi(star)))))
     ok = worst_g < 1e-10 and worst_phi < 1e-9
     _criterion(7, "inversion duality", ok,
                f"metric pullback {worst_g:.3e} (tol 1e-10), phi "
@@ -292,10 +284,9 @@ def test_criterion_12_kahler_killing(fd):
     worst = 0.0
     for name, chart in charts.items():
         pts = models.sample_points(chart, 100, seed=1013)
-        for x in pts:
-            worst = max(worst, tensor.kahler_residuals(chart, x, fd).worst())
-            worst = max(worst,
-                        tensor.killing_residual(chart, x, fd).worst())
+        worst = max(worst,
+                    np.max(tensor.kahler_residuals(chart, pts, fd).worst()),
+                    np.max(tensor.killing_residual(chart, pts, fd).worst()))
     # Negative controls: a non-Hermitian metric bump and a cubic potential
     # perturbation must both be detected.
     n = 4
@@ -310,8 +301,8 @@ def test_criterion_12_kahler_killing(fd):
     bumped = tensor.ChartMetric(
         n=n, g=bumped_g, J=J, phi=flat_phi,
         domain=lambda pts: np.ones(len(pts), dtype=bool), meta={})
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-    neg1 = tensor.kahler_residuals(bumped, x, fd).hermitian_res
+    x = np.array([[0.3, -0.2, 0.5, 0.1]])
+    neg1 = tensor.kahler_residuals(bumped, x, fd).hermitian_res[0]
     flat = tensor.ChartMetric(
         n=n, g=lambda pts: np.broadcast_to(np.eye(n),
                                            (len(pts), n, n)).copy(),
@@ -320,7 +311,7 @@ def test_criterion_12_kahler_killing(fd):
     neg2 = tensor.killing_residual(
         flat, x, fd,
         phi_fn=lambda pts: flat_phi(pts) + 0.01 * pts[:, 0] ** 3
-    ).sym_nabla_u_res
+    ).sym_nabla_u_res[0]
     ok = worst < 1e-6 and neg1 > 1e-3 and neg2 > 1e-4
     _criterion(12, "Kahler/Killing residuals", ok,
                f"worst residual {worst:.3e} over 4 charts x 100 points "

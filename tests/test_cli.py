@@ -2,6 +2,7 @@
 sweeps, and report rendering."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -51,6 +52,14 @@ class TestRunConfig:
         bad = {"model": {"variant": "torus"}, "checks": []}
         with pytest.raises(ConfigError):
             cli.run_config(bad)
+
+    def test_fd_keys(self):
+        assert cli.parse_fd({"h": 2e-3, "richardson": False}) == \
+            tensor.FDConfig(h=2e-3, richardson=False)
+        assert [f.name for f in dataclasses.fields(tensor.FDConfig)] == \
+            ["h", "richardson"]
+        with pytest.raises(ConfigError):
+            cli.parse_fd({"order": 4})
 
     def test_unknown_key_rejected(self):
         bad = dict(SHELL_CONFIG)
@@ -231,6 +240,33 @@ class TestMainEntry:
         monkeypatch.setenv("SKRP_THREADS", "abc")
         assert cli.main(["verify", "--config", str(cfg)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_thread_variable_read_by_verify_only(self, tmp_path, capsys,
+                                                 monkeypatch):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SPHERE_CONFIG))
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        monkeypatch.setenv("SKRP_THREADS", "abc")
+        summary = tmp_path / "summary.txt"
+        assert cli.main(["report", "--in", str(out),
+                         "--out", str(summary)]) == 0
+        assert "summary:" in summary.read_text()
+        assert cli.main(["classify", "--config", str(cfg)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--in", "r.txt", "--threads", "2"],
+        ["report", "--in", "r.txt", "--tol-scale", "2"],
+        ["classify", "--config", "c.json", "--seed", "3"],
+        ["sweep", "--config", "c.json", "--threads", "2"],
+        ["build", "--config", "c.json", "--tol-scale", "2"],
+    ])
+    def test_flags_only_where_read(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_classify_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -31,10 +31,9 @@ class TestShell:
 
     def test_fd_q_matches_profile(self, shell_chart, quadratic_profile, fd):
         pts = models.sample_points(shell_chart, 20, seed=101)
-        for x in pts:
-            pot = tensor.potential_derivatives(shell_chart, x, fd)
-            phi = float(shell_chart.phi(x[None, :])[0])
-            assert abs(pot.Q - float(quadratic_profile.q(phi))) < 1e-6
+        pot = tensor.potential_derivatives(shell_chart, pts, fd)
+        phi = np.asarray(shell_chart.phi(pts))
+        assert np.max(np.abs(pot.Q - quadratic_profile.q(phi))) < 1e-6
 
     def test_horizontal_block_is_scaled_projective_metric(self, shell_chart):
         # On H the metric is 2|phi-c|/|a| times Euclid/r^2 (the pullback of
@@ -120,18 +119,33 @@ class TestAnnulus:
         pts = models.sample_points(annulus_chart, 100, seed=3)
         star = models.inversion_point(pts)
         g = np.asarray(annulus_chart.g(pts))
-        worst_g = worst_phi = 0.0
-        for k in range(len(pts)):
-            jac = models.inversion_jacobian(pts[k])
-            gs = np.asarray(dual.g(star[k][None, :]))[0]
-            pull = jac.T @ gs @ jac
-            worst_g = max(worst_g, np.max(np.abs(pull - g[k]))
-                          / np.max(np.abs(g[k])))
-            worst_phi = max(worst_phi, abs(
-                float(annulus_chart.phi(pts[k][None, :])[0])
-                - float(dual.phi(star[k][None, :])[0])))
+        jac = models.inversion_jacobian(pts)
+        pull = np.swapaxes(jac, 1, 2) @ np.asarray(dual.g(star)) @ jac
+        worst_g = np.max(np.max(np.abs(pull - g), axis=(1, 2))
+                         / np.max(np.abs(g), axis=(1, 2)))
+        worst_phi = np.max(np.abs(np.asarray(annulus_chart.phi(pts))
+                                  - np.asarray(dual.phi(star))))
         assert worst_g < 1e-10
         assert worst_phi < 1e-9
+
+    def test_inversion_jacobian_matches_differences(self):
+        # Central differences of the inversion, column by column, at points
+        # away from the origin.
+        rng = np.random.default_rng(14)
+        r = np.exp(rng.uniform(math.log(0.3), math.log(3.0), 50))
+        th = rng.uniform(0, 2 * math.pi, 50)
+        pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
+        jac = models.inversion_jacobian(pts)
+        assert jac.shape == (50, 2, 2)
+        h = 1e-6
+        fd_jac = np.empty_like(jac)
+        for i in range(2):
+            e = h * np.eye(2)[i]
+            fd_jac[:, :, i] = (models.inversion_point(pts + e)
+                               - models.inversion_point(pts - e)) / (2 * h)
+        scale = np.max(np.abs(jac), axis=(1, 2))
+        assert np.max(np.max(np.abs(fd_jac - jac), axis=(1, 2))
+                      / scale) < 1e-8
 
 
 class TestSphere:
@@ -143,9 +157,8 @@ class TestSphere:
             np.exp(rng.uniform(math.log(0.05), math.log(2.0), 10))])
         th = rng.uniform(0, 2 * math.pi, 20)
         pts = np.column_stack([radii * np.cos(th), radii * np.sin(th)])
-        for x in pts:
-            curv = tensor.curvature(sphere_model.chart, x, fd)
-            assert curv.scalar / 2.0 == pytest.approx(K, rel=1e-5)
+        curv = tensor.curvature(sphere_model.chart, pts, fd)
+        assert curv.scalar / 2.0 == pytest.approx(np.full(20, K), rel=1e-5)
 
     def test_chi_isometry(self, sphere_model):
         # chi pullback of (1/K) x unit-sphere metric equals the chart metric.
@@ -218,26 +231,23 @@ class TestProduct:
         K = product_chart.meta["K"]
         t = product_chart.meta["t"]
         pts = models.sample_points(product_chart, 20, seed=8)
-        for x in pts:
-            pot = tensor.potential_derivatives(product_chart, x, fd)
-            phi = float(product_chart.phi(x[None, :])[0])
-            assert abs(pot.Q - K * (t ** 2 - phi ** 2)) < 1e-6
+        pot = tensor.potential_derivatives(product_chart, pts, fd)
+        phi = np.asarray(product_chart.phi(pts))
+        assert np.max(np.abs(pot.Q - K * (t ** 2 - phi ** 2))) < 1e-6
 
     def test_base_ricci(self, product_chart, fd):
         K = product_chart.meta["K"]
         pts = models.sample_points(product_chart, 5, seed=9)
-        for x in pts:
-            curv = tensor.curvature(product_chart, x, fd)
-            g = np.asarray(product_chart.g(x[None, :]))[0]
-            base = curv.ricci[:2, :2]
-            assert np.max(np.abs(base + K * g[:2, :2])) < 1e-5 * np.max(
-                np.abs(g[:2, :2]))
+        curv = tensor.curvature(product_chart, pts, fd)
+        g = np.asarray(product_chart.g(pts))[:, :2, :2]
+        base = curv.ricci[:, :2, :2]
+        assert np.all(np.max(np.abs(base + K * g), axis=(1, 2))
+                      < 1e-5 * np.max(np.abs(g), axis=(1, 2)))
 
     def test_base_hessian_vanishes(self, product_chart, fd):
         pts = models.sample_points(product_chart, 5, seed=10)
-        for x in pts:
-            pot = tensor.potential_derivatives(product_chart, x, fd)
-            assert np.max(np.abs(pot.hess_phi[:2, :2])) < 1e-7
+        pot = tensor.potential_derivatives(product_chart, pts, fd)
+        assert np.max(np.abs(pot.hess_phi[:, :2, :2])) < 1e-7
 
     def test_mixed_block_exactly_zero(self, product_chart):
         pts = models.sample_points(product_chart, 50, seed=11)
@@ -249,22 +259,26 @@ class TestTautologicalConnection:
     def test_curvature_is_minus_two_fs(self, fd):
         rng = np.random.default_rng(12)
         pts = rng.normal(size=(100, 2))
-        for y in pts:
-            data = models.tautological_connection(y, fd)
-            assert abs(data.omega.real + 2.0 * data.omega_fs) < 1e-6
-            assert abs(data.omega.imag) < 1e-8
+        data = models.tautological_connection(pts, fd)
+        assert data.omega.shape == data.omega_fs.shape == (100,)
+        assert np.max(np.abs(data.omega.real + 2.0 * data.omega_fs)) < 1e-6
+        assert np.max(np.abs(data.omega.imag)) < 1e-8
 
     def test_connection_form_vanishes_at_origin(self, fd):
-        data = models.tautological_connection([0.0, 0.0], fd)
-        assert abs(data.gamma[0]) == 0.0
-        assert abs(data.gamma[1]) == 0.0
+        data = models.tautological_connection(np.zeros((1, 2)), fd)
+        assert abs(data.gamma[0, 0]) == 0.0
+        assert abs(data.gamma[0, 1]) == 0.0
 
     def test_connection_form_closed_form(self, fd):
-        y = np.array([0.4, -0.3])
-        data = models.tautological_connection(y, fd)
-        z = complex(y[0], y[1])
-        expect = z.conjugate() / (1.0 + abs(z) ** 2)
-        assert abs(data.gamma[0] - expect) < 1e-14
+        # Gamma = conj(z) dz / (1 + |z|^2): gamma[b] = (G, i G) at z_b.
+        pts = np.concatenate([[[0.4, -0.3]],
+                              np.random.default_rng(15).normal(size=(99, 2))])
+        data = models.tautological_connection(pts, fd)
+        z = pts[:, 0] + 1j * pts[:, 1]
+        expect = np.conj(z) / (1.0 + np.abs(z) ** 2)
+        assert data.gamma.shape == (100, 2)
+        assert np.max(np.abs(data.gamma[:, 0] - expect)) < 1e-14
+        assert np.max(np.abs(data.gamma[:, 1] - 1j * expect)) < 1e-14
 
 
 class TestModelResidualSuites:
@@ -277,6 +291,5 @@ class TestModelResidualSuites:
                  "sphere": sphere_model.chart,
                  "product": product_chart}[which]
         pts = models.sample_points(chart, 15, seed=13)
-        for x in pts:
-            assert tensor.kahler_residuals(chart, x, fd).worst() < 1e-6
-            assert tensor.killing_residual(chart, x, fd).worst() < 1e-6
+        assert np.all(tensor.kahler_residuals(chart, pts, fd).worst() < 1e-6)
+        assert np.all(tensor.killing_residual(chart, pts, fd).worst() < 1e-6)

@@ -180,11 +180,14 @@ class TestLeanTables:
     @pytest.mark.parametrize("a", [1.0, -0.5])
     def test_dense_knots_converged(self, family, a):
         # The Newton step left at every knot of phi(log r), for windows
-        # 10% and 1e-4 of the interval in from its ends.
+        # 10%, 1e-4, 1e-7 and 1e-9 of the interval in from its ends.  The
+        # last two reach closer to a root of Q than the table's node clip
+        # (1e-6 of the interval), where log r ~ p log(phi - root) and four
+        # Newton steps from the end node are not enough.
         profile = family_profile(family)
         table = rp.build_reparam(profile, a=a)
         lo, hi = profile.interval
-        for frac in (0.1, 1e-4):
+        for frac in (0.1, 1e-4, 1e-7, 1e-9):
             window = sorted((float(table.log_r(lo + frac * (hi - lo))),
                              float(table.log_r(hi - frac * (hi - lo)))))
             spline = table.dense_phi_of_logr(*window)

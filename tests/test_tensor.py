@@ -31,7 +31,8 @@ def sphere_chart(K):
 class TestChristoffel:
     def test_euclidean_zero(self, fd):
         ch = euclidean_chart(2)
-        gam = tensor.connection_coefficients(ch, [0.3, -0.2, 0.5, 0.1], fd)
+        gam = tensor.connection_coefficients(
+            ch, np.array([[0.3, -0.2, 0.5, 0.1]]), fd)
         assert np.max(np.abs(gam)) < 1e-12
 
     def test_scale_invariance(self, fd):
@@ -39,7 +40,7 @@ class TestChristoffel:
         K = 4.0
         g1 = sphere_chart(K)
         g2 = conformal_2d_chart(lambda r2: lam * (4.0 / K) / (1.0 + r2) ** 2)
-        x = np.array([0.4, -0.3])
+        x = np.array([[0.4, -0.3]])
         gam1 = tensor.connection_coefficients(g1, x, fd)
         gam2 = tensor.connection_coefficients(g2, x, fd)
         assert np.max(np.abs(gam1 - gam2)) < 1e-10
@@ -49,10 +50,10 @@ class TestChristoffel:
         # Gam^1_22 = -u_1, and symmetrically for the second index.
         K = 4.0
         ch = sphere_chart(K)
-        x = np.array([0.3, 0.4])
-        r2 = float(x @ x)
-        u1, u2 = -2.0 * x / (1.0 + r2)
-        gam = tensor.connection_coefficients(ch, x, fd)
+        x = np.array([[0.3, 0.4]])
+        r2 = float(x[0] @ x[0])
+        u1, u2 = -2.0 * x[0] / (1.0 + r2)
+        gam = tensor.connection_coefficients(ch, x, fd)[0]
         expect = np.array([[[u1, u2], [u2, -u1]],
                            [[-u2, u1], [u1, u2]]])
         assert np.max(np.abs(gam - expect)) < 1e-7
@@ -61,7 +62,7 @@ class TestChristoffel:
 class TestCurvature:
     def test_euclidean_zero(self, fd):
         ch = euclidean_chart(2)
-        curv = tensor.curvature(ch, [0.3, -0.2, 0.5, 0.1], fd)
+        curv = tensor.curvature(ch, np.array([[0.3, -0.2, 0.5, 0.1]]), fd)
         assert np.max(np.abs(curv.riemann)) < 1e-10
         assert np.max(np.abs(curv.ricci)) < 1e-10
 
@@ -69,8 +70,9 @@ class TestCurvature:
     def test_round_sphere_positive_ricci(self, fd, K):
         ch = sphere_chart(K)
         for x in ([0.3, 0.4], [0.9, -0.1]):
+            x = np.array([x])
             curv = tensor.curvature(ch, x, fd)
-            g = np.asarray(ch.g(np.asarray(x)[None, :]))[0]
+            g = np.asarray(ch.g(x))
             assert np.max(np.abs(curv.ricci - K * g)) < 1e-6 * K * np.max(g)
 
     def test_hyperbolic_negative_ricci(self, fd):
@@ -78,24 +80,24 @@ class TestCurvature:
         ch = conformal_2d_chart(
             lambda r2: (4.0 / K) / (1.0 - r2) ** 2,
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
-        x = np.array([0.2, 0.1])
+        x = np.array([[0.2, 0.1]])
         curv = tensor.curvature(ch, x, fd)
-        g = np.asarray(ch.g(x[None, :]))[0]
+        g = np.asarray(ch.g(x))
         assert np.max(np.abs(curv.ricci + K * g)) < 1e-6 * K * np.max(g)
 
     def test_ricci_contraction_consistency(self, fd, shell_chart):
-        x = models.sample_points(shell_chart, 3, seed=5)[0]
+        x = models.sample_points(shell_chart, 3, seed=5)[:1]
         curv = tensor.curvature(shell_chart, x, fd)
-        lowered = np.einsum("lm,lijk->ijkm", curv.jet.g, curv.riemann)
-        direct = np.einsum("jl,ijkl->ik", curv.jet.ginv, lowered)
+        lowered = np.einsum("blm,blijk->bijkm", curv.jet.g, curv.riemann)
+        direct = np.einsum("bjl,bijkl->bik", curv.jet.ginv, lowered)
         scale = np.max(np.abs(curv.ricci)) + 1.0
         assert np.max(np.abs(curv.ricci - direct)) < 1e-8 * scale
 
     def test_first_bianchi(self, fd, shell_chart):
         rng = np.random.default_rng(11)
-        x = models.sample_points(shell_chart, 1, seed=13)[0]
+        x = models.sample_points(shell_chart, 1, seed=13)
         curv = tensor.curvature(shell_chart, x, fd)
-        riem = curv.riemann
+        riem = curv.riemann[0]
         cyc = (riem + np.einsum("lijk->ljki", riem)
                + np.einsum("lijk->lkij", riem))
         for _ in range(5):
@@ -110,8 +112,8 @@ class TestCurvature:
         # h must reduce the sphere curvature error by at least 8x.
         K = 4.0
         ch = sphere_chart(K)
-        x = np.array([0.35, 0.15])
-        g = np.asarray(ch.g(x[None, :]))[0]
+        x = np.array([[0.35, 0.15]])
+        g = np.asarray(ch.g(x))
         errs = []
         for h in (0.04, 0.02):
             curv = tensor.curvature(ch, x,
@@ -123,29 +125,31 @@ class TestCurvature:
 class TestPotential:
     def test_norm_squared(self, fd):
         ch = euclidean_chart(2)
-        x = np.array([0.3, -0.2, 0.5, 0.1])
+        x = np.array([[0.3, -0.2, 0.5, 0.1]])
         pot = tensor.potential_derivatives(ch, x, fd)
         assert np.max(np.abs(pot.hess_phi - 2.0 * np.eye(4))) < 1e-9
-        assert pot.Y == pytest.approx(8.0, abs=1e-8)
-        assert pot.Q == pytest.approx(4.0 * float(x @ x), rel=1e-9)
+        assert pot.Y[0] == pytest.approx(8.0, abs=1e-8)
+        assert pot.Q[0] == pytest.approx(4.0 * float(x[0] @ x[0]), rel=1e-9)
 
     def test_linear(self, fd):
         ch = euclidean_chart(2, phi="linear")
-        pot = tensor.potential_derivatives(ch, [0.3, -0.2, 0.5, 0.1], fd)
+        pot = tensor.potential_derivatives(
+            ch, np.array([[0.3, -0.2, 0.5, 0.1]]), fd)
         assert np.max(np.abs(pot.hess_phi)) < 5e-10
-        assert pot.Y == pytest.approx(0.0, abs=5e-10)
+        assert pot.Y[0] == pytest.approx(0.0, abs=5e-10)
 
     def test_hessian_symmetric(self, fd, shell_chart):
-        x = models.sample_points(shell_chart, 1, seed=3)[0]
-        pot = tensor.potential_derivatives(shell_chart, x, fd)
-        assert np.max(np.abs(pot.hess_phi - pot.hess_phi.T)) < 1e-10
+        x = models.sample_points(shell_chart, 1, seed=3)
+        hess = tensor.potential_derivatives(shell_chart, x, fd).hess_phi[0]
+        assert np.max(np.abs(hess - hess.T)) < 1e-10
 
 
 class TestGeodesics:
     def test_straight_line(self, fd):
         ch = euclidean_chart(1)
-        path = tensor.geodesic(ch, [0.0, 0.0], [0.6, 0.8], 2.0, fd,
-                               n_steps=512)
+        path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
+                                     np.array([[0.6, 0.8]]), 2.0, fd,
+                                     n_steps=512)
         assert np.max(np.abs(path.x[0][-1] - np.array([1.2, 1.6]))) < 1e-12
         assert path.drift[0] < 1e-12
 
@@ -154,9 +158,10 @@ class TestGeodesics:
         # arclength to the equator r = 1 (the inversion-fixed circle).
         K = 4.0
         ch = sphere_chart(K)
-        path = tensor.geodesic(ch, [0.0, 0.0], [1.0, 0.0],
-                               0.9 * math.pi / math.sqrt(K), fd,
-                               n_steps=4096, record_every=4)
+        path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
+                                     np.array([[1.0, 0.0]]),
+                                     0.9 * math.pi / math.sqrt(K), fd,
+                                     n_steps=4096, record_every=4)
         r = np.linalg.norm(path.x[0], axis=1)
         idx = int(np.argmax(r >= 1.0))
         f = (1.0 - r[idx - 1]) / (r[idx] - r[idx - 1])
@@ -167,16 +172,18 @@ class TestGeodesics:
     def test_energy_drift(self, fd):
         # |v|_g stays within 1e-6 of 1 over arclength 5.
         ch = sphere_chart(0.16)
-        path = tensor.geodesic(ch, [0.0, 0.0], [1.0, 0.0], 5.0, fd,
-                               n_steps=4096)
+        path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
+                                     np.array([[1.0, 0.0]]), 5.0, fd,
+                                     n_steps=4096)
         assert path.alive[0]
         assert path.drift[0] < 1e-6
 
     def test_energy_drift_shell(self, fd, shell_chart):
-        x0 = np.zeros(4)
-        x0[0] = shell_chart.meta["r_range"][0] * 1.4
-        path = tensor.geodesic(shell_chart, x0, x0 / np.linalg.norm(x0),
-                               1.2, fd, n_steps=2048)
+        x0 = np.zeros((1, 4))
+        x0[0, 0] = shell_chart.meta["r_range"][0] * 1.4
+        path = tensor.geodesic_batch(shell_chart, x0,
+                                     x0 / np.linalg.norm(x0), 1.2, fd,
+                                     n_steps=2048)
         assert path.alive[0]
         assert path.drift[0] < 1e-6
 
@@ -184,8 +191,9 @@ class TestGeodesics:
         ch = conformal_2d_chart(
             lambda r2: np.ones_like(r2),
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
-        path = tensor.geodesic(ch, [0.0, 0.0], [1.0, 0.0], 3.0, fd,
-                               n_steps=256)
+        path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
+                                     np.array([[1.0, 0.0]]), 3.0, fd,
+                                     n_steps=256)
         assert not path.alive[0]
 
 
@@ -211,9 +219,9 @@ def killing_roundoff_bound(fd, n, phi_max):
 class TestResidualOperators:
     def test_euclidean_clean(self, fd):
         ch = euclidean_chart(2)
-        x = np.array([0.3, -0.2, 0.5, 0.1])
+        x = np.array([[0.3, -0.2, 0.5, 0.1]])
         kr = tensor.kahler_residuals(ch, x, fd)
-        assert kr.worst() < 1e-12
+        assert kr.worst()[0] < 1e-12
         # phi = |x|^2 gives the Killing field u = J grad phi exactly, so its
         # residual is roundoff; phi = x0^2 + 2 x1^2 does not.
         pts = np.random.default_rng(20).uniform(-0.6, 0.6, (20, 4))
@@ -227,9 +235,11 @@ class TestResidualOperators:
             fd, 4, 2.0 * reach ** 2))
 
     def test_shell_clean(self, fd, shell_chart):
-        for x in models.sample_points(shell_chart, 5, seed=8):
-            assert tensor.kahler_residuals(shell_chart, x, fd).worst() < 1e-6
-            assert tensor.killing_residual(shell_chart, x, fd).worst() < 1e-6
+        x = models.sample_points(shell_chart, 5, seed=8)
+        assert np.all(tensor.kahler_residuals(shell_chart, x, fd).worst()
+                      < 1e-6)
+        assert np.all(tensor.killing_residual(shell_chart, x, fd).worst()
+                      < 1e-6)
 
     def test_perturbed_metric_detected(self, fd):
         base = euclidean_chart(2)
@@ -241,8 +251,9 @@ class TestResidualOperators:
 
         ch = tensor.ChartMetric(n=4, g=bumped, J=base.J, phi=base.phi,
                                 domain=base.domain, meta={})
-        kr = tensor.kahler_residuals(ch, np.array([0.3, -0.2, 0.5, 0.1]), fd)
-        assert kr.hermitian_res > 5e-3
+        kr = tensor.kahler_residuals(ch, np.array([[0.3, -0.2, 0.5, 0.1]]),
+                                     fd)
+        assert kr.hermitian_res[0] > 5e-3
 
     def test_perturbed_potential_detected(self, fd):
         base = euclidean_chart(2)
@@ -251,13 +262,13 @@ class TestResidualOperators:
             pts = np.asarray(pts, dtype=float)
             return np.einsum("bi,bi->b", pts, pts) + 0.01 * pts[:, 0] ** 3
 
-        km = tensor.killing_residual(base, np.array([0.5, -0.2, 0.4, 0.1]),
+        km = tensor.killing_residual(base, np.array([[0.5, -0.2, 0.4, 0.1]]),
                                      fd, phi_fn=phi)
-        assert km.sym_nabla_u_res > 1e-4
+        assert km.sym_nabla_u_res[0] > 1e-4
 
     def test_stencil_out_of_domain(self, fd):
         ch = conformal_2d_chart(
             lambda r2: np.ones_like(r2),
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
         with pytest.raises(StencilOutOfDomain):
-            tensor.curvature(ch, [0.9999, 0.0], fd)
+            tensor.curvature(ch, np.array([[0.9999, 0.0]]), fd)

@@ -226,10 +226,9 @@ class TestDeterminismAndScaling:
                                     domain=shell_chart.domain,
                                     meta=dict(shell_chart.meta))
         pts = models.sample_points(shell_chart, 4, seed=59)
-        for x in pts:
-            g1 = tensor.connection_coefficients(shell_chart, x, fd)
-            g2 = tensor.connection_coefficients(scaled, x, fd)
-            assert np.max(np.abs(g1 - g2)) < 1e-9
+        g1 = tensor.connection_coefficients(shell_chart, pts, fd)
+        g2 = tensor.connection_coefficients(scaled, pts, fd)
+        assert np.max(np.abs(g1 - g2)) < 1e-9
         r1 = verify.skrp_report(shell_chart, pts, fd)
         r2 = verify.skrp_report(scaled, pts, fd)
         assert np.max(np.abs(r2.lam - r1.lam / lam_scale)) < 1e-7
