@@ -248,6 +248,7 @@ def check_identities(ctx, params, fd, seed):
         out.append(_result("sigma_ratio", 0.0, tol, note="vacuous: eps=0"))
     if rep.profile_res is not None:
         out.append(_result("profile_slope", rep.profile_res, tol))
+    out.append(_result("vertical_curvature", rep.vertical_res, tol))
     return out
 
 

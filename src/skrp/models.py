@@ -435,8 +435,7 @@ class ConnectionData:
     omega_fs: np.ndarray
 
 
-def tautological_connection(y: np.ndarray, fd: Optional[FDConfig] = None
-                            ) -> ConnectionData:
+def tautological_connection(y: np.ndarray, fd: FDConfig) -> ConnectionData:
     """Canonical-connection data at points y (B, 2) of the affine chart of
     CP^1.
 
@@ -446,8 +445,6 @@ def tautological_connection(y: np.ndarray, fd: Optional[FDConfig] = None
     Gamma = conj(y) dy / (1 + |y|^2).  The curvature form is i dGamma with
     the exterior derivative taken by finite differences.
     """
-    if fd is None:
-        fd = FDConfig()
     y = np.asarray(y, dtype=float)
 
     def gamma_components(pts):
@@ -468,12 +465,11 @@ def tautological_connection(y: np.ndarray, fd: Optional[FDConfig] = None
 # Deterministic sample points per model
 # ---------------------------------------------------------------------------
 
-def sample_points(chart: ChartMetric, count: int, seed: int,
-                  radial_margin: float = 0.12) -> np.ndarray:
+def sample_points(chart: ChartMetric, count: int, seed: int) -> np.ndarray:
     """Deterministic interior sample points for a model chart.
 
-    Radii are log-uniform over the chart's radial range shrunk by
-    ``radial_margin`` (relative, each side); directions are uniform on the
+    Radii are log-uniform over the chart's radial range shrunk by 12% of
+    its log-span on each side; directions are uniform on the
     sphere.  The product model instead samples the base disk and a fibre
     annulus.  Points stay clear of chart boundaries by at least five
     stencil widths at the default configuration.
@@ -496,7 +492,7 @@ def sample_points(chart: ChartMetric, count: int, seed: int,
     # Margin: relative to the radial span, but never below the absolute room
     # a nested five-point stencil needs at the default step (clamped so thin
     # charts keep a nonempty interior).
-    margin = max(radial_margin * span, min(0.04, 0.45 * span))
+    margin = max(0.12 * span, min(0.04, 0.45 * span))
     lo = math.log(r_lo) + margin
     hi = math.log(r_hi) - margin
     r = np.exp(rng.uniform(lo, hi, count))

@@ -11,7 +11,7 @@ constraint polynomial, the soliton ODE, and the type classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -351,9 +351,6 @@ class Profile:
     def slope_tol(self) -> float:
         return SLOPE_TOL_CUSTOM if self.is_custom else SLOPE_TOL_CLOSED
 
-    def endpoint_is_root(self, which: int, tol: float = 1.0e-9) -> bool:
-        return abs(float(self.q(self.interval[which]))) <= tol * max(self.q_scale, 1.0)
-
 
 def make_profile(spec: ProfileSpec, interval: Sequence[float]) -> Profile:
     """Build a Profile on the given closed interval, validating positivity.
@@ -388,17 +385,15 @@ def make_profile(spec: ProfileSpec, interval: Sequence[float]) -> Profile:
                    endpoint_slopes=(slopes[0], slopes[1]), q_scale=scale)
 
 
-def find_admissible_interval(spec: ProfileSpec, seed: float,
-                             box: tuple[float, float] = SEARCH_BOX,
-                             grid_n: int = SEARCH_GRID) -> Profile:
+def find_admissible_interval(spec: ProfileSpec, seed: float) -> Profile:
     """Maximal positivity interval of Q around a seed, with root endpoints.
 
-    Roots are located by grid bracketing over the search box, bisection to
+    Roots are located by grid bracketing over SEARCH_BOX, bisection to
     BISECT_TOL, and one Newton polish.  Raises NoRoot when Q stays positive
     up to a box edge, and SeedNonPositive when Q(seed) <= 0.
     """
     ev = family_evaluators(spec)
-    lo, hi = box
+    lo, hi = SEARCH_BOX
     # Clip the box to the natural domain and to the seed's side of any pole.
     lo = max(lo, ev.domain[0])
     hi = min(hi, ev.domain[1])
@@ -414,8 +409,7 @@ def find_admissible_interval(spec: ProfileSpec, seed: float,
 
     roots = []
     for direction, edge in ((-1, lo), (1, hi)):
-        n = max(grid_n // 2, 8)
-        xs = np.linspace(seed, edge, n)
+        xs = np.linspace(seed, edge, SEARCH_GRID // 2)
         qs = np.asarray(ev.q(xs), dtype=float)
         idx = np.nonzero(qs <= 0.0)[0]
         idx = idx[idx > 0]
@@ -528,10 +522,10 @@ class TypeCReport:
                 and self.slopes_nonzero and self.slopes_opposite)
 
 
-def best_rational(x: float, max_den: int = 64) -> tuple[int, int, float]:
-    """Closest fraction p/q with 1 <= q <= max_den; returns (p, q, error)."""
+def best_rational(x: float) -> tuple[int, int, float]:
+    """Closest fraction p/q with 1 <= q <= 64; returns (p, q, error)."""
     best = (0, 1, abs(x))
-    for q in range(1, max_den + 1):
+    for q in range(1, 65):
         p = round(x * q)
         err = abs(x - p / q)
         if err < best[2]:
@@ -539,14 +533,16 @@ def best_rational(x: float, max_den: int = 64) -> tuple[int, int, float]:
     return best
 
 
-def check_type_c(m: int, profile: Profile, tol: float = 1.0e-6) -> TypeCReport:
+def check_type_c(m: int, profile: Profile) -> TypeCReport:
     """Admissibility flags for a TypeC profile in the rescaled variable t.
 
     Checks analyticity (the pole t = 1 must lie outside the interval unless
     C = 0), endpoint vanishing, interior positivity, nonzero and mutually
     opposite endpoint slopes dQ/dt, the exclusion 1 not-in I, and the
-    rationality necessary condition on A^-1 dQ/dt at the endpoints.
+    rationality necessary condition on A^-1 dQ/dt at the endpoints, each
+    to a relative tolerance of 1e-6.
     """
+    tol = 1.0e-6
     if not isinstance(profile.spec, TypeC):
         raise WrongFamily("check_type_c requires a TypeC profile")
     spec = profile.spec
@@ -629,7 +625,7 @@ def classify_type(eps: int, c: Optional[float],
 
 def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
                     c: float, anchor: tuple[float, float],
-                    rng: tuple[float, float], n_nodes: int = 4097) -> Profile:
+                    rng: tuple[float, float]) -> Profile:
     """Solve the first-order linear soliton ODE for Q through an anchor.
 
         p Q' - Q + (m-1) p Q / (phi - c) = eps p kappa - 2 s0 (phi - c)
@@ -660,6 +656,7 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
         return (q * (1.0 / p - (m - 1) / (phi - c))
                 + eps * kappa - (2.0 * s0 / p) * (phi - c))
 
+    n_nodes = 4097
     nodes = np.linspace(lo, hi, n_nodes)
     values = np.empty(n_nodes)
     i_a = int(np.argmin(np.abs(nodes - phi_a)))
@@ -698,21 +695,16 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
     spec = Custom(phi=tuple(nodes[j_lo:j_hi + 1]),
                   q=tuple(values[j_lo:j_hi + 1]))
     prof = make_profile(spec, (nodes[j_lo], nodes[j_hi]))
-    if truncated:
-        prof = Profile(spec=prof.spec, interval=prof.interval, q=prof.q,
-                       dq=prof.dq, d2q=prof.d2q,
-                       endpoint_slopes=prof.endpoint_slopes,
-                       q_scale=prof.q_scale, truncated=True)
-    return prof
+    return replace(prof, truncated=True) if truncated else prof
 
 
 def soliton_ode_residual(profile: Profile, m: int, p: float, s0: float,
-                         kappa: float, eps: int, c: float,
-                         n: int = 100) -> float:
-    """Max relative residual of the soliton ODE on the profile interior."""
+                         kappa: float, eps: int, c: float) -> float:
+    """Max relative residual of the soliton ODE at 100 points of the
+    profile interior."""
     lo, hi = profile.interval
     pad = 1e-3 * (hi - lo)
-    phis = np.linspace(lo + pad, hi - pad, n)
+    phis = np.linspace(lo + pad, hi - pad, 100)
     q = np.asarray(profile.q(phis))
     dq = np.asarray(profile.dq(phis))
     lhs = p * dq - q + (m - 1) * p * q / (phis - c)
@@ -738,14 +730,13 @@ class SymmetryReport:
     note: str = ""
 
 
-def symmetric_family_report(spec: TypeA | TypeB,
-                            symmetry_tol: float = 1.0e-9) -> SymmetryReport:
+def symmetric_family_report(spec: TypeA | TypeB) -> SymmetryReport:
     """Search for an admissible interval of a TypeA/TypeB spec and report
     whether it is symmetric about 0.
 
     Admissible TypeA instances force alpha = 0 and a symmetric interval;
     admissible TypeB instances have a symmetric interval.  Symmetry is
-    tested as |phi_min + phi_max| <= tol * max(|phi_min|, |phi_max|).
+    tested as |phi_min + phi_max| <= 1e-9 max(|phi_min|, |phi_max|).
     """
     if not isinstance(spec, (TypeA, TypeB)):
         raise WrongFamily("symmetric_family_report requires TypeA or TypeB")
@@ -766,7 +757,7 @@ def symmetric_family_report(spec: TypeA | TypeB,
                               interval=None, slopes=None, note=str(exc))
     bnd = check_boundary(prof)
     lo, hi = prof.interval
-    symmetric = abs(lo + hi) <= symmetry_tol * max(abs(lo), abs(hi))
+    symmetric = abs(lo + hi) <= 1.0e-9 * max(abs(lo), abs(hi))
     return SymmetryReport(family=type(spec).__name__, found=True,
                           boundary_ok=bnd.passed, symmetric=symmetric,
                           interval=prof.interval,

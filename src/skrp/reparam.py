@@ -145,21 +145,21 @@ class _Arclength:
     Each half of the interval is integrated in the substituted variable
     w = sqrt(|phi - endpoint|), which removes the inverse-square-root
     singularity at simple roots; the cumulants are antiderivatives of
-    splines over uniform w-grids.
+    splines over uniform w-grids of 4097 nodes.
     """
 
-    def __init__(self, profile: Profile, n: int = 4097):
+    def __init__(self, profile: Profile):
         lo, hi = profile.interval
         mid = 0.5 * (lo + hi)
         self.lo, self.hi, self.mid = lo, hi, mid
         self.profile = profile
-        self._left = self._half(lo, mid, +1.0, n)
-        self._right = self._half(hi, mid, -1.0, n)
+        self._left = self._half(lo, mid, +1.0)
+        self._right = self._half(hi, mid, -1.0)
         self.total = float(self._left[1] + self._right[1])
 
-    def _half(self, end: float, mid: float, sign: float, n: int):
+    def _half(self, end: float, mid: float, sign: float):
         w_max = math.sqrt(abs(mid - end))
-        w = np.linspace(0.0, w_max, n)
+        w = np.linspace(0.0, w_max, 4097)
         phi = end + sign * w ** 2
         q = np.asarray(self.profile.q(phi), dtype=float)
         integrand = np.empty_like(w)
@@ -379,7 +379,7 @@ def _table(profile: Profile, a: float, anchor: tuple[float, float],
                         r_unbounded=unbounded, _logr=core)
 
 
-def critical_distance(profile: Profile, rel_tol: float = 1.0e-9) -> float:
+def critical_distance(profile: Profile) -> float:
     """The arclength integral L = int dphi / sqrt(Q) over the interval.
 
     Requires simple roots at both endpoints; the integral is split at the
@@ -400,7 +400,7 @@ def critical_distance(profile: Profile, rel_tol: float = 1.0e-9) -> float:
                 return 2.0 / math.sqrt(abs(profile.dq(end)))
             return 2.0 * w / math.sqrt(float(profile.q(end + sign * w * w)))
 
-        val, _ = quad(integrand, 0.0, w_max, epsrel=rel_tol, epsabs=0.0,
+        val, _ = quad(integrand, 0.0, w_max, epsrel=1.0e-9, epsabs=0.0,
                       limit=200)
         return val
 

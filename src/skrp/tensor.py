@@ -37,12 +37,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularMetric, StencilOutOfDomain
+from .errors import SingularMetric, SkrpError, StencilOutOfDomain
 
 # Stencil points per evaluation of a chart callable: large enough that call
 # overhead is small, small enough that a chunk of n = 8 metric values stays
 # a few megabytes.
 CHUNK_POINTS = 2048
+
+# RK4 steps per recorded geodesic sample.
+RECORD_EVERY = 4
 
 _D1 = ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0))                # / 12 h
 _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12 h^2
@@ -174,6 +177,8 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
     StencilOutOfDomain naming its point.  A first-order call without
     ``value`` leaves the center point out of the cloud.
     """
+    if x.ndim != 2:
+        raise SkrpError(f"points must have shape (B, n), got {x.shape}")
     B, n = x.shape
     op = stencil(n, richardson, second)
     center = value or second
@@ -343,15 +348,13 @@ class PotentialDerivatives:
 
 
 def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
-                          jet: Optional[MetricJet] = None,
-                          phi_fn: Optional[Callable] = None
+                          jet: Optional[MetricJet] = None
                           ) -> PotentialDerivatives:
     """Gradient, covariant Hessian, Laplacian Y, and Q = g(grad, grad) of
-    the chart potential (or of ``phi_fn`` when given)."""
+    the chart potential."""
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
-    fn = phi_fn if phi_fn is not None else chart.phi
-    _, dphi, d2phi = partials(fn, x, fd.h, fd.richardson, True,
+    _, dphi, d2phi = partials(chart.phi, x, fd.h, fd.richardson, True,
                               domain=chart.domain, value=False)
     hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
@@ -379,22 +382,22 @@ def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
 
 @dataclass(frozen=True)
 class GeodesicPath:
-    """Sampled geodesics: s has shape (steps+1,), x and v have shape
-    (B, steps+1, n); ``alive`` marks paths that stayed in the domain and
-    ``drift`` is the worst deviation of |v|_g from 1 along each path."""
+    """Sampled geodesics, one sample every RECORD_EVERY RK4 steps: s has
+    shape (S,), x and v have shape (B, S, n), S = n_steps // RECORD_EVERY
+    + 1; ``alive`` marks paths that stayed in the domain."""
 
     s: np.ndarray
     x: np.ndarray
     v: np.ndarray
     alive: np.ndarray
-    drift: np.ndarray
 
 
 def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
-                   s_max: float, fd: FDConfig, n_steps: int = 4096,
-                   record_every: int = 8) -> GeodesicPath:
+                   s_max: float, fd: FDConfig, n_steps: int = 4096
+                   ) -> GeodesicPath:
     """Integrate x'' + gamma(x)[x', x'] = 0 by fixed-step RK4 for a batch of
-    initial conditions; w0 is normalized to unit g-length internally.
+    initial conditions x0, w0 (B, n); w0 is normalized to unit g-length
+    internally.
 
     Integration of a path stops (it is marked not alive) once any stencil
     it needs leaves the chart domain; recorded samples after that hold the
@@ -402,6 +405,9 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     """
     x0 = np.asarray(x0, dtype=float).copy()
     w0 = np.asarray(w0, dtype=float).copy()
+    if x0.ndim != 2 or w0.shape != x0.shape:
+        raise SkrpError(f"x0 and w0 must have shape (B, n), got {x0.shape} "
+                        f"and {w0.shape}")
     B, n = x0.shape
     g0 = np.asarray(chart.g(x0))
     norms = np.sqrt(np.einsum("bi,bij,bj->b", w0, g0, w0))
@@ -410,7 +416,7 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     hstep = s_max / n_steps
     alive = np.ones(B, dtype=bool)
 
-    n_rec = n_steps // record_every
+    n_rec = n_steps // RECORD_EVERY
     xs = np.empty((B, n_rec + 1, n))
     vs = np.empty((B, n_rec + 1, n))
     ss = np.empty(n_rec + 1)
@@ -439,7 +445,6 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
         acc[idx_active] = -np.einsum("bkij,bi,bj->bk", gam, vv, vv)
         return acc, newmask
 
-    drift = np.zeros(B)
     rec = 0
     for step in range(n_steps):
         k1a, alive = accel(x, v, alive)
@@ -455,17 +460,10 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
                      (k1x + 2 * k2x + 2 * k3x + k4x), x)
         v = np.where(m[:, None], v + hstep / 6.0 *
                      (k1a + 2 * k2a + 2 * k3a + k4a), v)
-        if (step + 1) % record_every == 0:
+        if (step + 1) % RECORD_EVERY == 0:
             rec += 1
             xs[:, rec], vs[:, rec], ss[rec] = x, v, (step + 1) * hstep
-            inside = np.asarray(chart.domain(x), dtype=bool)
-            live = alive & inside
-            if np.any(live):
-                gx = np.asarray(chart.g(x[live]))
-                speed = np.sqrt(np.einsum("bi,bij,bj->b", v[live], gx,
-                                          v[live]))
-                drift[live] = np.maximum(drift[live], np.abs(speed - 1.0))
-    return GeodesicPath(s=ss, x=xs, v=vs, alive=alive, drift=drift)
+    return GeodesicPath(s=ss, x=xs, v=vs, alive=alive)
 
 
 # ---------------------------------------------------------------------------
@@ -516,20 +514,18 @@ class KillingResiduals:
         return np.maximum(self.sym_nabla_u_res, self.hermitian_hess_res)
 
 
-def killing_residual(chart: ChartMetric, x, fd: FDConfig,
-                     phi_fn: Optional[Callable] = None) -> KillingResiduals:
+def killing_residual(chart: ChartMetric, x, fd: FDConfig) -> KillingResiduals:
     """Killing-field and Hermitian-Hessian residuals for u = J grad(phi).
 
     sym_nabla_u_res    = max|symmetrized lowered nabla u| / (1 + max|nabla u|);
     hermitian_hess_res = max|H(J., .) + H(., J.)| / (1 + max|H|).
     """
     jet = metric_jet(chart, x, fd, second=False)
-    phi = phi_fn if phi_fn is not None else chart.phi
     J = chart.J
 
     def u_field(pts):
         ginvs = np.linalg.inv(np.asarray(chart.g(pts)))
-        dphis = _batch_grad_scalar(chart, phi, pts, fd)
+        dphis = _batch_grad_scalar(chart, chart.phi, pts, fd)
         return np.einsum("blm,bm->bl", ginvs, dphis) @ J.T
 
     u0, du, _ = partials(u_field, x, fd.h, fd.richardson, False,
@@ -540,7 +536,7 @@ def killing_residual(chart: ChartMetric, x, fd: FDConfig,
     sym_res = (_amax(lowered + np.swapaxes(lowered, 1, 2))
                / (1.0 + _amax(lowered)))
 
-    H = potential_derivatives(chart, x, fd, jet=jet, phi_fn=phi).hess_phi
+    H = potential_derivatives(chart, x, fd, jet=jet).hess_phi
     herm_res = _amax(J.T @ H @ J - H) / (1.0 + _amax(H))
     return KillingResiduals(sym_nabla_u_res=sym_res,
                             hermitian_hess_res=herm_res)

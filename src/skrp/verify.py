@@ -2,6 +2,12 @@
 tensors, the profile identities, conformally-Einstein and soliton residuals,
 geodesic checks, and type classification.
 
+The eigenstructure identities (``skrp_report`` and ``identity_report``) all
+read one split per batch of points, ``_adapted_split``: the curvature, the
+potential derivatives, orthonormal frames seeded by grad phi and J grad phi,
+Hess(phi) and Ricci in those frames, and the eigenvalues tau, mu, sigma,
+lam read off them.
+
 Every residual reported here is scale-normalized (the normalization is named
 in the docstring of the operation that produces it), so the default
 tolerances are meaningful across models regardless of metric scale.
@@ -19,8 +25,10 @@ from .errors import CriticalPoint, MissingMeta, PhiNearZero
 from .profiles import Profile, TypeTag, classify_type
 from .tensor import (
     ChartMetric,
+    CurvatureTensors,
     FDConfig,
     GeodesicPath,
+    PotentialDerivatives,
     _amax,
     _batch_grad_scalar,
     curvature,
@@ -39,40 +47,65 @@ def _worst(residuals: np.ndarray) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Frames adapted to the potential
+# The adapted-frame split
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AdaptedFrame:
-    """Orthonormal frames whose first two vectors span {grad phi, J grad phi}."""
+class _Split:
+    """Curvature, potential derivatives and adapted frames at a batch of
+    points, with Hess(phi) and Ricci in those frames and the eigenvalues
+    read off them."""
 
+    curv: CurvatureTensors
+    pot: PotentialDerivatives
     frame: np.ndarray      # rows: v_hat, u_hat, then the orthogonal block
-    Q: np.ndarray
-    grad_phi: np.ndarray
+    Q: np.ndarray          # g(grad phi, grad phi) of the frame seeds
+    hb: np.ndarray         # Hess(phi) in the frame
+    rb: np.ndarray         # Ricci in the frame
+    tau: np.ndarray
+    mu: np.ndarray
+    sigma: np.ndarray      # from Y = 2 tau + 2(m-1) sigma
+    lam: np.ndarray        # from scal = 2 mu + 2(m-1) lam
+    sigma_h: np.ndarray    # mean of the orthogonal block of Hess(phi)
 
 
-def adapted_frame(chart: ChartMetric, g: np.ndarray, grad_phi: np.ndarray
-                  ) -> AdaptedFrame:
-    """Adapted frames at a batch of points: g (B, n, n), grad_phi (B, n)."""
-    Q = np.einsum("bi,bij,bj->b", grad_phi, g, grad_phi)
+def _adapted_split(chart: ChartMetric, points: np.ndarray, fd: FDConfig
+                   ) -> _Split:
+    """The split at points (B, n) where dphi != 0: orthonormal frames whose
+    first two vectors are v_hat = grad phi / |grad phi| and J v_hat, the
+    rest spanning the orthogonal block.  tau and mu are the gradient-plane
+    means; sigma, lam and sigma_h are zero when n = 2.  Raises CriticalPoint
+    where |grad phi|_g <= GRAD_FLOOR."""
+    m = int(chart.meta.get("m", chart.n // 2))
+    n = chart.n
+    curv = curvature(chart, points, fd)
+    g = curv.jet.g
+    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    Q = np.einsum("bi,bij,bj->b", pot.grad_phi, g, pot.grad_phi)
     flat = Q <= GRAD_FLOOR ** 2
     if np.any(flat):
         k = int(np.argmax(flat))
         raise CriticalPoint(f"|grad phi|_g = {math.sqrt(max(Q[k], 0.0))} too "
                             f"small for an eigenstructure split at point {k}")
-    v_hat = grad_phi / np.sqrt(Q)[:, None]
-    u_hat = v_hat @ chart.J.T
-    frame = orthonormal_frame(g, seeds=np.stack([v_hat, u_hat], axis=1))
-    return AdaptedFrame(frame=frame, Q=Q, grad_phi=grad_phi)
+    v_hat = pot.grad_phi / np.sqrt(Q)[:, None]
+    frame = orthonormal_frame(
+        g, seeds=np.stack([v_hat, v_hat @ chart.J.T], axis=1))
+    hb = _frame_blocks(frame, pot.hess_phi)
+    rb = _frame_blocks(frame, curv.ricci)
+    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
+    mu = 0.5 * (rb[:, 0, 0] + rb[:, 1, 1])
+    sigma = lam = sigma_h = np.zeros_like(tau)
+    if n > 2:
+        sigma = (pot.Y - 2.0 * tau) / (2.0 * (m - 1))
+        lam = (curv.scalar - 2.0 * mu) / (2.0 * (m - 1))
+        sigma_h = np.trace(hb[:, 2:, 2:], axis1=1, axis2=2) / (n - 2)
+    return _Split(curv=curv, pot=pot, frame=frame, Q=Q, hb=hb, rb=rb,
+                  tau=tau, mu=mu, sigma=sigma, lam=lam, sigma_h=sigma_h)
 
 
 def _frame_blocks(frame: np.ndarray, tensor: np.ndarray) -> np.ndarray:
     """Components of twice-covariant tensors in the frames."""
     return frame @ tensor @ np.swapaxes(frame, 1, 2)
-
-
-def _trace(a: np.ndarray) -> np.ndarray:
-    return np.trace(a, axis1=1, axis2=2)
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +153,11 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     scal = 2 mu + 2(m-1) lam; the block residuals are the actual
     eigenstructure test.
     """
-    m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     n = chart.n
-    curv = curvature(chart, points, fd)
-    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
-    af = adapted_frame(chart, curv.jet.g, pot.grad_phi)
-    hb = _frame_blocks(af.frame, pot.hess_phi)
-    rb = _frame_blocks(af.frame, curv.ricci)
-    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
-    mu = 0.5 * (rb[:, 0, 0] + rb[:, 1, 1])
-    if n > 2:
-        sigma = (pot.Y - 2.0 * tau) / (2.0 * (m - 1))
-        lam = (curv.scalar - 2.0 * mu) / (2.0 * (m - 1))
-    else:
-        sigma, lam = np.zeros_like(tau), np.zeros_like(mu)
+    sp = _adapted_split(chart, points, fd)
+    hb, rb = sp.hb, sp.rb
+    tau, mu, sigma, lam = sp.tau, sp.mu, sp.sigma, sp.lam
     h_scale = 1.0 + np.abs(tau) + np.abs(sigma)
     r_scale = 1.0 + np.abs(mu) + np.abs(lam)
     eye2 = np.eye(2)
@@ -153,12 +176,11 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
                            / r_scale)
         res["rm"] = _worst(_amax(rb[:, :2, 2:]) / r_scale)
         if eps in (-1, 1):
-            sigma_h = _trace(hb[:, 2:, 2:]) / (n - 2)
-            eps_ok = not np.any((np.abs(sigma_h) > 1e-8)
-                                & (np.sign(sigma_h) != eps))
+            eps_ok = not np.any((np.abs(sp.sigma_h) > 1e-8)
+                                & (np.sign(sp.sigma_h) != eps))
     return EigenstructureReport(
         points=points, phi=np.asarray(chart.phi(points), dtype=float),
-        Q=pot.Q, sigma=sigma, tau=tau, lam=lam, mu=mu, Y=pot.Y,
+        Q=sp.pot.Q, sigma=sigma, tau=tau, lam=lam, mu=mu, Y=sp.pot.Y,
         hess_h_res=res["hh"], hess_v_res=res["hv"], hess_mixed_res=res["hm"],
         ricci_h_res=res["rh"], ricci_v_res=res["rv"], ricci_mixed_res=res["rm"],
         eps_consistent=eps_ok)
@@ -170,13 +192,16 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
 
 @dataclass(frozen=True)
 class IdentityReport:
-    """Residuals of the five gradient-direction identities.
+    """Residuals of the six gradient-direction identities.
 
     (i)   dQ = 2 tau dphi                (covector comparison)
     (ii)  Y = 2 tau + 2(m-1) sigma_H     (sigma_H from the orthogonal block)
     (iii) Q = 2 (phi - c) sigma_H        (only when eps = +-1)
     (iv)  dY = -2 mu dphi
     (v)   2 tau = dQ/dphi at phi(x)      (when a profile is attached)
+    (vi)  Q R(w, w') grad phi = 2 (sigma - tau) sigma g(Jw, w') J grad phi
+          over orthogonal-block frame pairs (w, w'), with
+          sigma = (Y - 2 tau) / (2(m-1)); compared as vectors
 
     Each residual is normalized by 1 plus the magnitude of the quantity it
     compares.  ``vacuous`` lists identities skipped by the chart's data.
@@ -187,10 +212,11 @@ class IdentityReport:
     sigma_ratio_res: Optional[float]
     dy_res: float
     profile_res: Optional[float]
+    vertical_res: float
     vacuous: tuple
 
     def worst(self) -> float:
-        vals = [self.dq_res, self.trace_res, self.dy_res]
+        vals = [self.dq_res, self.trace_res, self.dy_res, self.vertical_res]
         if self.sigma_ratio_res is not None:
             vals.append(self.sigma_ratio_res)
         if self.profile_res is not None:
@@ -236,20 +262,11 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     eps = chart.meta.get("eps")
     c = chart.meta.get("c")
     profile: Optional[Profile] = chart.meta.get("profile")
-    n = chart.n
     h_outer = 3.0 * fd.h
     h_outer_y = 9.0 * fd.h
 
-    curv = curvature(chart, points, fd)
-    jet = curv.jet
-    pot = potential_derivatives(chart, points, fd, jet=jet)
-    af = adapted_frame(chart, jet.g, pot.grad_phi)
-    hb = _frame_blocks(af.frame, pot.hess_phi)
-    rb = _frame_blocks(af.frame, curv.ricci)
-    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
-    mu = 0.5 * (rb[:, 0, 0] + rb[:, 1, 1])
-    sigma_h = (_trace(hb[:, 2:, 2:]) / (n - 2) if n > 2
-               else np.zeros_like(tau))
+    sp = _adapted_split(chart, points, fd)
+    pot, tau, mu, sigma_h = sp.pot, sp.tau, sp.mu, sp.sigma_h
     phis = np.asarray(chart.phi(points), dtype=float)
 
     dq = _outer_differential(q_field(chart, fd), points, h_outer)
@@ -268,6 +285,16 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     if profile is not None:
         dqdphi = np.asarray(profile.dq(phis), dtype=float)
         prof_res = _worst(np.abs(2.0 * tau - dqdphi) / (1.0 + np.abs(dqdphi)))
+    # (vi): lhs[b, i, j] = Q R(w_i, w_j) grad phi for the block rows w.
+    g, v, block = sp.curv.jet.g, pot.grad_phi, sp.frame[:, 2:]
+    rv = np.einsum("blpqk,bk->blpq", sp.curv.riemann, v)
+    lhs = sp.Q[:, None, None, None] * np.einsum(
+        "bliq,bjq->bijl", np.einsum("blpq,bip->bliq", rv, block), block)
+    coeff = (2.0 * (sp.sigma - tau) * sp.sigma)[:, None, None] * (
+        (block @ chart.J.T) @ g @ np.swapaxes(block, 1, 2))
+    rhs = coeff[..., None] * (v @ chart.J.T)[:, None, None, :]
+    vertical_res = _worst(np.linalg.norm(lhs - rhs, axis=-1)
+                          / (1.0 + np.linalg.norm(rhs, axis=-1)))
     vacuous = ()
     if ratio_res is None:
         vacuous += ("sigma_ratio",)
@@ -275,7 +302,8 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
         vacuous += ("profile_slope",)
     return IdentityReport(dq_res=dq_res, trace_res=trace_res,
                           sigma_ratio_res=ratio_res, dy_res=dy_res,
-                          profile_res=prof_res, vacuous=vacuous)
+                          profile_res=prof_res, vertical_res=vertical_res,
+                          vacuous=vacuous)
 
 
 # ---------------------------------------------------------------------------
@@ -420,8 +448,7 @@ def sphere_normal_geodesics(model, fd: FDConfig, n_fan: int = 16,
     x0 = np.zeros((n_fan, 2))
     w0 = np.column_stack([np.cos(thetas), np.sin(thetas)])
     s_max = 0.9 * L
-    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps,
-                          record_every=4)
+    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps)
     dres = _path_dphids_res(chart, profile, math.copysign(1.0, a), path)
     gres = _fan_gauss_res(chart, path, 2 * math.pi / n_fan)
     # Equator crossing of the first ray.
@@ -457,48 +484,11 @@ def shell_normal_geodesics(chart: ChartMetric, fd: FDConfig, n_fan: int = 16,
     x0[:, 0] = r_in * np.cos(thetas)
     x0[:, 1] = r_in * np.sin(thetas)
     w0 = x0 / r_in
-    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps,
-                          record_every=4)
+    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps)
     dres = _path_dphids_res(chart, profile, math.copysign(1.0, a), path)
     gres = _fan_gauss_res(chart, path, 2 * math.pi / n_fan)
     return NormalGeodesicReport(dphids_res=dres, gauss_res=gres,
                                 distance_vs_L=None)
-
-
-# ---------------------------------------------------------------------------
-# Extended curvature oracle
-# ---------------------------------------------------------------------------
-
-def vertical_curvature_identity(chart: ChartMetric, points: np.ndarray,
-                                fd: FDConfig) -> float:
-    """Residual of Q R(w, w') grad(phi) = 2 (sigma - tau) sigma g(Jw, w') u
-    over orthogonal-block frame pairs (w, w'), normalized by 1 + |rhs|.
-
-    An extended oracle beyond the block residuals: it applies the full
-    curvature tensor to specific frames.
-    """
-    m = int(chart.meta.get("m", chart.n // 2))
-    curv = curvature(chart, points, fd)
-    g = curv.jet.g
-    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
-    af = adapted_frame(chart, g, pot.grad_phi)
-    hb = _frame_blocks(af.frame, pot.hess_phi)
-    tau = 0.5 * (hb[:, 0, 0] + hb[:, 1, 1])
-    sigma = ((pot.Y - 2.0 * tau) / (2.0 * (m - 1)) if chart.n > 2
-             else np.zeros_like(tau))
-    v = pot.grad_phi
-    u = v @ chart.J.T
-    block = af.frame[:, 2:]
-    # lhs[b, i, j] = Q R(w_i, w_j) v for the block rows w.
-    rv = np.einsum("blpqk,bk->blpq", curv.riemann, v)
-    lhs = af.Q[:, None, None, None] * np.einsum(
-        "bliq,bjq->bijl", np.einsum("blpq,bip->bliq", rv, block), block)
-    coeff = (2.0 * (sigma - tau) * sigma)[:, None, None] * (
-        (block @ chart.J.T) @ g @ np.swapaxes(block, 1, 2))
-    rhs = coeff[..., None] * u[:, None, None, :]
-    worst = (np.linalg.norm(lhs - rhs, axis=-1)
-             / (1.0 + np.linalg.norm(rhs, axis=-1)))
-    return _worst(worst.reshape(len(points), -1).max(axis=1, initial=0.0))
 
 
 # ---------------------------------------------------------------------------

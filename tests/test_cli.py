@@ -113,6 +113,21 @@ class TestRunConfig:
         code2, t2 = cli.run_config(SHELL_CONFIG, threads=2)
         assert (code1, strip(t1)) == (code2, strip(t2))
 
+    @pytest.mark.parametrize("variant", ["shell", "product"])
+    def test_identity_rows(self, variant):
+        config = {"model": {"variant": "product", "K": 1.0, "t": 1.0},
+                  "checks": [{"name": "identities", "points": 4}]}
+        if variant == "shell":
+            config.update(profile=SHELL_CONFIG["profile"],
+                          model=SHELL_CONFIG["model"])
+        code, text = cli.run_config(config)
+        assert code == 0
+        rows = [ln.split()[1] for ln in text.splitlines()
+                if ln.startswith("check: ")]
+        assert rows == ["name=gradient_dq", "name=laplacian_trace",
+                        "name=gradient_dy", "name=sigma_ratio",
+                        "name=profile_slope", "name=vertical_curvature"]
+
     def test_check_error_becomes_failed_row(self):
         # phi vanishes on the sphere's equator, so conformal_einstein raises
         # PhiNearZero at some of 200 points; the run goes on.

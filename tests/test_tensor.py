@@ -1,12 +1,14 @@
 """Finite-difference tensor engine against closed-form geometry."""
 
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
 from skrp import models, tensor
-from skrp.errors import StencilOutOfDomain
+from skrp.errors import SkrpError, StencilOutOfDomain
 from conftest import euclidean_chart
 
 
@@ -26,6 +28,16 @@ def conformal_2d_chart(factor, dfactor=None, domain=None):
 
 def sphere_chart(K):
     return conformal_2d_chart(lambda r2: (4.0 / K) / (1.0 + r2) ** 2)
+
+
+def speed_drift(chart, path):
+    """Largest deviation of |v|_g from 1 over the recorded samples of each
+    path, from one ``chart.g`` call."""
+    B, S, n = path.x.shape
+    g = np.asarray(chart.g(path.x.reshape(-1, n)))
+    v = path.v.reshape(-1, n)
+    speed = np.sqrt(np.einsum("bi,bij,bj->b", v, g, v)).reshape(B, S)
+    return np.max(np.abs(speed - 1.0), axis=1)
 
 
 class TestChristoffel:
@@ -151,7 +163,7 @@ class TestGeodesics:
                                      np.array([[0.6, 0.8]]), 2.0, fd,
                                      n_steps=512)
         assert np.max(np.abs(path.x[0][-1] - np.array([1.2, 1.6]))) < 1e-12
-        assert path.drift[0] < 1e-12
+        assert speed_drift(ch, path)[0] < 1e-12
 
     def test_sphere_antipode_distance(self, fd):
         # Pole-to-pole arclength equals pi/sqrt(K); measured as twice the
@@ -161,7 +173,7 @@ class TestGeodesics:
         path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
                                      np.array([[1.0, 0.0]]),
                                      0.9 * math.pi / math.sqrt(K), fd,
-                                     n_steps=4096, record_every=4)
+                                     n_steps=4096)
         r = np.linalg.norm(path.x[0], axis=1)
         idx = int(np.argmax(r >= 1.0))
         f = (1.0 - r[idx - 1]) / (r[idx] - r[idx - 1])
@@ -176,7 +188,7 @@ class TestGeodesics:
                                      np.array([[1.0, 0.0]]), 5.0, fd,
                                      n_steps=4096)
         assert path.alive[0]
-        assert path.drift[0] < 1e-6
+        assert speed_drift(ch, path)[0] < 1e-6
 
     def test_energy_drift_shell(self, fd, shell_chart):
         x0 = np.zeros((1, 4))
@@ -185,7 +197,7 @@ class TestGeodesics:
                                      x0 / np.linalg.norm(x0), 1.2, fd,
                                      n_steps=2048)
         assert path.alive[0]
-        assert path.drift[0] < 1e-6
+        assert speed_drift(shell_chart, path)[0] < 1e-6
 
     def test_leaves_domain_flagged(self, fd):
         ch = conformal_2d_chart(
@@ -262,8 +274,8 @@ class TestResidualOperators:
             pts = np.asarray(pts, dtype=float)
             return np.einsum("bi,bi->b", pts, pts) + 0.01 * pts[:, 0] ** 3
 
-        km = tensor.killing_residual(base, np.array([[0.5, -0.2, 0.4, 0.1]]),
-                                     fd, phi_fn=phi)
+        km = tensor.killing_residual(dataclasses.replace(base, phi=phi),
+                                     np.array([[0.5, -0.2, 0.4, 0.1]]), fd)
         assert km.sym_nabla_u_res[0] > 1e-4
 
     def test_stencil_out_of_domain(self, fd):
@@ -272,3 +284,29 @@ class TestResidualOperators:
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
         with pytest.raises(StencilOutOfDomain):
             tensor.curvature(ch, np.array([[0.9999, 0.0]]), fd)
+
+
+class TestPointShapes:
+    """Points are (B, n) batches; any other shape is named in the error."""
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 1, 4)])
+    def test_metric_jet(self, fd, shell_chart, shape):
+        x = models.sample_points(shell_chart, 1, seed=5).reshape(shape)
+        with pytest.raises(SkrpError, match=r"\(B, n\), got " +
+                           re.escape(str(shape))):
+            tensor.metric_jet(shell_chart, x, fd)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_tautological_connection(self, fd, shape):
+        y = np.array([0.1, 0.2]).reshape(shape)
+        with pytest.raises(SkrpError, match=r"\(B, n\), got " +
+                           re.escape(str(shape))):
+            models.tautological_connection(y, fd)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_geodesic_batch(self, fd, shape):
+        x0 = np.zeros(shape)
+        with pytest.raises(SkrpError, match=r"\(B, n\), got " +
+                           re.escape(str(shape))):
+            tensor.geodesic_batch(euclidean_chart(1), x0, x0 + 1.0, 1.0, fd,
+                                  n_steps=8)

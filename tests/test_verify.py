@@ -1,6 +1,8 @@
 """Verification suites: eigenstructure, identities, conformal Einstein,
 soliton, normal geodesics, classification, and scaling covariance."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -176,17 +178,31 @@ class TestNormalGeodesics:
 
 
 class TestExtendedCurvatureOracle:
+    """Identity (vi) of ``identity_report``: the full curvature tensor
+    applied to orthogonal-block frame pairs."""
+
     def test_shell(self, shell_chart, fd):
         pts = models.sample_points(shell_chart, 6, seed=60)
-        res = verify.vertical_curvature_identity(shell_chart, pts, fd)
+        res = verify.identity_report(shell_chart, pts, fd).vertical_res
         assert res < 1e-6
 
     def test_product_vanishing_sigma(self, product_chart, fd):
         # sigma = 0 makes the right side vanish: the gradient direction is
         # flat against orthogonal-block pairs.
         pts = models.sample_points(product_chart, 4, seed=61)
-        res = verify.vertical_curvature_identity(product_chart, pts, fd)
+        res = verify.identity_report(product_chart, pts, fd).vertical_res
         assert res < 1e-6
+
+    @pytest.mark.parametrize("m", [2, 3])
+    def test_perturbed_potential_detected(self, quadratic_profile, fd, m):
+        # phi + 0.01 x0^2 is no longer a special Kahler-Ricci potential of
+        # the shell metric; the row fails by at least 100x its tolerance.
+        chart = models.build_shell(models.ShellSpec(
+            m=m, profile=quadratic_profile, a=1.0, eps=1, c=-2.0))
+        bent = dataclasses.replace(
+            chart, phi=lambda p: chart.phi(p) + 0.01 * p[:, 0] ** 2)
+        pts = models.sample_points(chart, 4, seed=62)
+        assert verify.identity_report(bent, pts, fd).vertical_res > 1e-3
 
 
 class TestClassification:
