@@ -22,7 +22,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -91,16 +91,6 @@ class ModelContext:
     sphere: Optional[models.SphereModel]
     profile: Optional[profiles.Profile]
     variant: str
-    # Sphere geodesic fans by FD configuration: the distance and
-    # normal_geodesics checks share one integration.
-    sphere_fans: dict = field(default_factory=dict)
-
-
-def _sphere_fan(ctx: ModelContext, fd: tensor.FDConfig
-                ) -> verify.NormalGeodesicReport:
-    if fd not in ctx.sphere_fans:
-        ctx.sphere_fans[fd] = verify.sphere_normal_geodesics(ctx.sphere, fd)
-    return ctx.sphere_fans[fd]
 
 
 def parse_model(node: dict, profile: Optional[profiles.Profile]
@@ -201,20 +191,14 @@ def check_curvature_constant(ctx, params, fd, seed):
 
 
 def check_distance(ctx, params, fd, seed):
-    """Distance invariant of the profile, optionally against an expected
-    value and against the sphere pole-to-pole geodesic length."""
+    """Distance invariant of the profile by quadrature, optionally against
+    an expected value.  The sphere's geodesic pole-to-pole length is a row
+    of normal_geodesics."""
     L = reparam.critical_distance(ctx.profile)
-    out = []
-    tol = params.get("tolerance", 1e-8)
-    if "expected" in params:
-        out.append(_result("distance_quadrature", abs(L - params["expected"]),
-                           tol, note=f"L={L!r}"))
-    if ctx.variant == "sphere":
-        rep = _sphere_fan(ctx, fd)
-        out.append(_result("distance_geodesic", rep.distance_vs_L,
-                           params.get("geodesic_tolerance", 1e-4),
-                           note="pole-to-pole arclength vs L"))
-    return out
+    if "expected" not in params:
+        return []
+    return [_result("distance_quadrature", abs(L - params["expected"]),
+                    params.get("tolerance", 1e-8), note=f"L={L!r}")]
 
 
 def check_skrp_blocks(ctx, params, fd, seed):
@@ -289,7 +273,7 @@ def check_soliton(ctx, params, fd, seed):
 
 def check_normal_geodesics(ctx, params, fd, seed):
     if ctx.variant == "sphere":
-        rep = _sphere_fan(ctx, fd)
+        rep = verify.sphere_normal_geodesics(ctx.sphere, fd)
     elif ctx.variant == "shell":
         rep = verify.shell_normal_geodesics(ctx.chart, fd)
     else:
@@ -388,9 +372,8 @@ CHECKS: dict[str, Callable] = {
 }
 
 _CHECK_KEYS = {"name", "tolerance", "points", "p", "s0", "expected",
-               "geodesic_tolerance", "gauss_tolerance", "distance_tolerance",
-               "wedge_tolerance", "phi_tolerance", "imag_tolerance",
-               "profile_tolerance"}
+               "gauss_tolerance", "distance_tolerance", "wedge_tolerance",
+               "phi_tolerance", "imag_tolerance", "profile_tolerance"}
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,10 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.interpolate import CubicHermiteSpline
 
-from .errors import CriticalPoint, MissingMeta, PhiNearZero
+from .errors import (CriticalPoint, MissingMeta, PhiNearZero,
+                     StencilOutOfDomain)
 from .profiles import Profile, TypeTag, classify_type
 from .tensor import (
     ChartMetric,
@@ -401,16 +403,17 @@ class NormalGeodesicReport:
 
 
 def _path_dphids_res(chart: ChartMetric, profile: Profile, sgn_a: float,
-                     path: GeodesicPath, skip: int = 2) -> float:
-    """Residual of dphi/ds = sgn(a) sqrt(Q) along recorded path samples,
-    normalized per ray."""
+                     path: GeodesicPath, fd: FDConfig) -> float:
+    """Residual of dphi/ds = sgn(a) sqrt(Q) at every recorded sample, with
+    dphi/ds = dphi(x) . v read off the recorded state; normalized per ray."""
     B, S, n = path.x.shape
-    ds = path.s[1] - path.s[0]
-    phis = np.asarray(chart.phi(path.x.reshape(-1, n)), dtype=float)
-    dphids = np.gradient(phis.reshape(B, S), ds, axis=1, edge_order=2)
+    pts = path.x.reshape(-1, n)
+    dphi = _batch_grad_scalar(chart, chart.phi, pts, fd)
+    dphids = np.einsum("bi,bi->b", dphi, path.v.reshape(-1, n))
+    phis = np.asarray(chart.phi(pts), dtype=float)
     q = np.clip(np.asarray(profile.q(phis), dtype=float), 0.0, None)
-    expect = sgn_a * np.sqrt(q).reshape(B, S)
-    err = np.abs(dphids - expect)[:, skip:-skip if skip else None]
+    expect = (sgn_a * np.sqrt(q)).reshape(B, S)
+    err = np.abs(dphids.reshape(B, S) - expect)
     return float(np.max(np.max(err, axis=1)
                         / (1.0 + np.max(np.abs(expect), axis=1))))
 
@@ -430,63 +433,66 @@ def _fan_gauss_res(chart: ChartMetric, path: GeodesicPath,
     return float(np.max(np.abs(ip) / (1.0 + nv * nt), initial=0.0))
 
 
+def _fan(chart: ChartMetric, r0: float, s_max: float, fd: FDConfig,
+         n_fan: int, n_steps: int) -> tuple[GeodesicPath, float, float]:
+    """A closed fan of n_fan rays leaving the circle of radius r0 in the
+    first coordinate plane along its outward normals: the paths, the
+    dphi/ds residual and the Gauss residual.  Raises StencilOutOfDomain if
+    a ray left the domain: its frozen last state would read as valid."""
+    thetas = np.arange(n_fan) * (2 * math.pi / n_fan)
+    w0 = np.zeros((n_fan, chart.n))
+    w0[:, 0], w0[:, 1] = np.cos(thetas), np.sin(thetas)
+    path = geodesic_batch(chart, r0 * w0, w0, s_max, fd, n_steps=n_steps)
+    lost = int(np.count_nonzero(~path.alive))
+    if lost:
+        raise StencilOutOfDomain(f"{lost} of {n_fan} fan rays left the "
+                                 f"chart domain")
+    sgn_a = math.copysign(1.0, chart.meta["a"])
+    return (path,
+            _path_dphids_res(chart, chart.meta["profile"], sgn_a, path, fd),
+            _fan_gauss_res(chart, path, 2 * math.pi / n_fan))
+
+
 def sphere_normal_geodesics(model, fd: FDConfig, n_fan: int = 16,
-                            n_steps: int = 4096) -> NormalGeodesicReport:
+                            n_steps: int = 256) -> NormalGeodesicReport:
     """Geodesic fan from the pole chart point of the sphere model: checks
     dphi/ds = sgn(a) sqrt(Q), the Gauss orthogonality of the fan, and
     pole-to-pole arclength against the distance invariant L.
 
     The pole-to-pole length is twice the arclength from the pole to the
-    equator circle r = 1, the fixed locus of the inversion isometry.
+    equator circle r = 1, the fixed locus of the inversion isometry.  The
+    crossing is found on the cubic Hermite interpolant of r(s) over the
+    bracketing samples, with dr/ds = x . v / r.
     """
-    chart = model.chart
-    profile = chart.meta["profile"]
-    K = chart.meta["K"]
-    a = chart.meta["a"]
-    L = math.pi / math.sqrt(K)
-    thetas = np.arange(n_fan) * (2 * math.pi / n_fan)
-    x0 = np.zeros((n_fan, 2))
-    w0 = np.column_stack([np.cos(thetas), np.sin(thetas)])
-    s_max = 0.9 * L
-    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps)
-    dres = _path_dphids_res(chart, profile, math.copysign(1.0, a), path)
-    gres = _fan_gauss_res(chart, path, 2 * math.pi / n_fan)
-    # Equator crossing of the first ray.
+    L = math.pi / math.sqrt(model.chart.meta["K"])
+    path, dres, gres = _fan(model.chart, 0.0, 0.9 * L, fd, n_fan, n_steps)
+    # Equator crossing of the first ray: r[k - 1] < 1 <= r[k].
     r = np.linalg.norm(path.x[0], axis=1)
-    idx = int(np.argmax(r >= 1.0))
-    if idx == 0:
-        distance = None
-    else:
-        f = (1.0 - r[idx - 1]) / (r[idx] - r[idx - 1])
-        s_cross = path.s[idx - 1] + f * (path.s[idx] - path.s[idx - 1])
+    k = int(np.argmax(r >= 1.0))
+    distance = None
+    if k > 0:
+        seg = slice(k - 1, k + 1)
+        drds = np.einsum("si,si->s", path.x[0, seg], path.v[0, seg]) / r[seg]
+        s_cross = CubicHermiteSpline(path.s[seg], r[seg], drds).solve(
+            1.0, extrapolate=False)[0]
         distance = abs(2.0 * s_cross - L)
     return NormalGeodesicReport(dphids_res=dres, gauss_res=gres,
                                 distance_vs_L=distance)
 
 
 def shell_normal_geodesics(chart: ChartMetric, fd: FDConfig, n_fan: int = 16,
-                           n_steps: int = 2048) -> NormalGeodesicReport:
+                           n_steps: int = 128) -> NormalGeodesicReport:
     """Radial geodesic fan on a shell chart, started on an inner radius
     circle with outward unit normals; checks dphi/ds and Gauss
     orthogonality (no distance target on an open shell)."""
-    profile = chart.meta["profile"]
     table = chart.meta["table"]
-    a = chart.meta["a"]
     r_lo, r_hi = chart.meta["r_range"]
     r_in = r_lo * (r_hi / r_lo) ** 0.18
     r_out = r_lo * (r_hi / r_lo) ** 0.82
     phi_in = float(table.phi_of_r(r_in))
     phi_out = float(table.phi_of_r(r_out))
     s_max = abs(float(table.s_of_phi(phi_out)) - float(table.s_of_phi(phi_in)))
-    thetas = np.arange(n_fan) * (2 * math.pi / n_fan)
-    n = chart.n
-    x0 = np.zeros((n_fan, n))
-    x0[:, 0] = r_in * np.cos(thetas)
-    x0[:, 1] = r_in * np.sin(thetas)
-    w0 = x0 / r_in
-    path = geodesic_batch(chart, x0, w0, s_max, fd, n_steps=n_steps)
-    dres = _path_dphids_res(chart, profile, math.copysign(1.0, a), path)
-    gres = _fan_gauss_res(chart, path, 2 * math.pi / n_fan)
+    _, dres, gres = _fan(chart, r_in, s_max, fd, n_fan, n_steps)
     return NormalGeodesicReport(dphids_res=dres, gauss_res=gres,
                                 distance_vs_L=None)
 

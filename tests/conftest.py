@@ -1,5 +1,7 @@
 """Shared fixtures: default FD configuration and the four model charts."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -56,3 +58,14 @@ def euclidean_chart(m: int, phi="norm2"):
         phi=phi_fn,
         domain=lambda pts: np.ones(len(pts), dtype=bool),
         meta={"m": m, "model": "euclidean"})
+
+
+def shrunk_shell(chart):
+    """The shell chart with its domain cut at the geometric middle of its
+    radius range, so that a radial fan from the inner part leaves it."""
+    r_lo, r_hi = chart.meta["r_range"]
+    r_mid = (r_lo * r_hi) ** 0.5
+    inner = chart.domain
+    return dataclasses.replace(
+        chart,
+        domain=lambda pts: inner(pts) & (np.linalg.norm(pts, axis=1) < r_mid))

@@ -6,11 +6,15 @@ import dataclasses
 import io
 import json
 import math
+import pathlib
 
 import pytest
 
 from skrp import cli, models, tensor, verify
 from skrp.errors import ConfigError
+from conftest import shrunk_shell
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 SPHERE_CONFIG = {
     "seed": 11,
@@ -34,6 +38,18 @@ SHELL_CONFIG = {
         {"name": "classify"},
     ],
 }
+
+
+def report_rows(text):
+    """Residuals of a report's check rows, by row name."""
+    rows = {}
+    for line in text.splitlines():
+        if line.startswith("check: "):
+            body = line[len("check: "):].partition(" note=")[0]
+            fields = dict(kv.split("=", 1) for kv in body.split(" "))
+            rows.setdefault(fields["name"], []).append(
+                float(fields["residual"]))
+    return rows
 
 
 class TestRunConfig:
@@ -144,33 +160,41 @@ class TestRunConfig:
         assert "name=kahler_residuals" in rows[1] and "pass=true" in rows[1]
         assert "summary: pass=1 fail=1 exit=1" in text
 
-    def test_sphere_fan_integrated_once(self, monkeypatch):
-        calls = []
-        fan = verify.sphere_normal_geodesics
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return fan(*args, **kwargs)
-
-        monkeypatch.setattr(verify, "sphere_normal_geodesics", counted)
+    def test_sphere_geodesic_rows_from_one_fan(self, tmp_path, capsys):
         config = json.loads(json.dumps(SPHERE_CONFIG))
         config["checks"] = [{"name": "distance", "expected": math.pi / 2,
                              "tolerance": 1e-8},
                             {"name": "normal_geodesics"}]
         code, text = cli.run_config(config)
-        assert code == 0 and len(calls) == 1
-        rows = {}
-        for line in text.splitlines():
-            if line.startswith("check: "):
-                body = line[len("check: "):].partition(" note=")[0]
-                fields = dict(kv.split("=", 1) for kv in body.split(" "))
-                rows.setdefault(fields["name"], []).append(
-                    float(fields["residual"]))
+        assert code == 0
+        rows = report_rows(text)
         sphere = models.build_sphere(models.SphereSpec(K=4.0, phi0=1.0))
-        direct = fan(sphere, tensor.FDConfig())
-        assert rows["distance_geodesic"] == [direct.distance_vs_L] * 2
+        direct = verify.sphere_normal_geodesics(sphere, tensor.FDConfig())
+        assert rows["distance_geodesic"] == [direct.distance_vs_L]
         assert rows["dphi_ds"] == [direct.dphids_res]
         assert rows["gauss_orthogonality"] == [direct.gauss_res]
+        # distance is quadrature only: its geodesic tolerance is gone.
+        config["checks"][0]["geodesic_tolerance"] = 1e-4
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_dead_ray_becomes_failed_row(self, tmp_path, monkeypatch):
+        build = models.build_shell
+        monkeypatch.setattr(models, "build_shell",
+                            lambda spec: shrunk_shell(build(spec)))
+        config = json.loads(json.dumps(SHELL_CONFIG))
+        config["checks"] = [{"name": "normal_geodesics"}]
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify", "--config", str(cfg),
+                         "--out", str(out)]) == 1
+        text = out.read_text()
+        assert ("residual=inf tolerance=nan pass=false note=error "
+                "StencilOutOfDomain: 16 of 16 fan rays") in text
+        assert "summary: pass=0 fail=1 exit=1" in text
 
 
 class TestSweeps:
@@ -282,6 +306,17 @@ class TestMainEntry:
             cli.main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["shell_quadratic", "sphere_k4"])
+    def test_shipped_config_passes(self, name, tmp_path):
+        out = tmp_path / "report.txt"
+        assert cli.main(["verify", "--config", str(CONFIGS / f"{name}.json"),
+                         "--out", str(out)]) == 0
+        text = out.read_text()
+        checks = [ln for ln in text.splitlines() if ln.startswith("check: ")]
+        assert checks and all(" pass=true" in ln for ln in checks)
+        if name == "sphere_k4":
+            assert len(report_rows(text)["distance_geodesic"]) == 1
 
     def test_classify_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from skrp import models, profiles, tensor, verify
-from skrp.errors import PhiNearZero
-from conftest import euclidean_chart
+from skrp.errors import PhiNearZero, StencilOutOfDomain
+from conftest import euclidean_chart, shrunk_shell
 
 
 @pytest.fixture(scope="module")
@@ -175,6 +175,41 @@ class TestNormalGeodesics:
         assert rep.dphids_res < 1e-5
         assert rep.gauss_res < 1e-4
         assert rep.distance_vs_L is None
+
+    @pytest.mark.parametrize("fan", ["sphere", "shell"])
+    def test_margin_at_default_steps(self, fan, sphere_model, shell_chart,
+                                     fd):
+        # Every geodesic residual sits at least 100x below its tolerance
+        # (dphi_ds 1e-5, Gauss 1e-4, distance 1e-4).
+        if fan == "sphere":
+            rep = verify.sphere_normal_geodesics(sphere_model, fd)
+            assert rep.distance_vs_L <= 1e-6
+        else:
+            rep = verify.shell_normal_geodesics(shell_chart, fd)
+        assert rep.dphids_res <= 1e-7
+        assert rep.gauss_res <= 1e-6
+
+    @pytest.mark.parametrize("fan", ["sphere", "shell"])
+    def test_scaled_profile_detected(self, fan, sphere_model, shell_chart,
+                                     fd):
+        # Negative control: Q scaled by 1.01 on the chart's profile fails
+        # dphi_ds by at least 100x its 1e-5 tolerance.
+        chart = sphere_model.chart if fan == "sphere" else shell_chart
+        prof = chart.meta["profile"]
+        wrong = dataclasses.replace(prof, q=lambda phi: 1.01 * prof.q(phi))
+        chart = dataclasses.replace(chart, meta=dict(chart.meta,
+                                                     profile=wrong))
+        if fan == "sphere":
+            rep = verify.sphere_normal_geodesics(
+                dataclasses.replace(sphere_model, chart=chart), fd)
+        else:
+            rep = verify.shell_normal_geodesics(chart, fd)
+        assert rep.dphids_res >= 1e-3
+
+    def test_dead_ray_raises(self, shell_chart, fd):
+        chart = shrunk_shell(shell_chart)
+        with pytest.raises(StencilOutOfDomain, match="16 of 16 fan rays"):
+            verify.shell_normal_geodesics(chart, fd)
 
 
 class TestExtendedCurvatureOracle:
