@@ -15,15 +15,19 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import datetime
+import functools
 import io
+import itertools
 import json
 import math
 import os
 import sys
+import types
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import (Callable, Optional, Union, get_args, get_origin,
+                    get_type_hints)
 
 import numpy as np
 
@@ -37,6 +41,17 @@ REPORT_FORMAT = "skrp-report format=1"
 # Strict config parsing
 # ---------------------------------------------------------------------------
 
+FAMILIES = {"quadratic": profiles.Quadratic, "type_a": profiles.TypeA,
+            "type_b": profiles.TypeB, "type_c": profiles.TypeC,
+            "polynomial": profiles.Polynomial, "custom": profiles.Custom}
+
+# Variant -> (spec class, name of its ``models`` function, looked up per call).
+VARIANTS = {"shell": (models.ShellSpec, "build_shell"),
+            "annulus": (models.AnnulusSpec, "build_annulus"),
+            "sphere": (models.SphereSpec, "build_sphere"),
+            "product": (models.ProductSpec, "build_product")}
+
+
 def _require_keys(node: dict, allowed: set, required: set, where: str):
     if not isinstance(node, dict):
         raise ConfigError(f"{where}: expected an object")
@@ -48,44 +63,73 @@ def _require_keys(node: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"{where}: missing keys {sorted(missing)}")
 
 
-def parse_profile(node: dict) -> profiles.Profile:
-    _require_keys(node, {"family", "K", "phi0", "m", "alpha", "eta", "c",
-                         "A", "B", "C", "coeffs", "phi", "q", "interval",
-                         "find_interval"}, {"family"}, "profile")
-    family = node["family"]
+def _value(value, kind, where: str):
+    """value checked against a field type: int, float (an int will do), bool,
+    or ``[Optional] tuple[...]``, a list of that many numbers (any number
+    for a bare tuple) returned as a tuple."""
+    if get_origin(kind) in (Union, types.UnionType):
+        kind, = (t for t in get_args(kind) if t is not type(None))
+    if kind is tuple or get_origin(kind) is tuple:
+        size = len(get_args(kind))
+        if not isinstance(value, list) or size and len(value) != size:
+            raise ConfigError(f"{where}: expected a list of "
+                              f"{size or 'any number of'} numbers")
+        return tuple(_value(v, float, where) for v in value)
+    # A bool is an int to isinstance, but no number in a config.
+    allowed = {bool: bool, int: int, float: (int, float)}[kind]
+    if (not isinstance(value, allowed)
+            or isinstance(value, bool) != (kind is bool)):
+        raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    return value
+
+
+def _kind(node: dict, key: str, table: dict, where: str) -> str:
+    """node[key], which must name an entry of table."""
+    value = node.get(key) if isinstance(node, dict) else None
+    if not isinstance(value, str) or value not in table:
+        raise ConfigError(f"{where}: {key} must be one of {sorted(table)}, "
+                          f"got {value!r}")
+    return value
+
+
+_field_types = functools.cache(get_type_hints)   # spec class -> {field: type}
+
+
+def _spec(cls, node: dict, where: str, extra: set = frozenset(), **given):
+    """The spec dataclass cls from the config object node, whose keys are
+    the fields of cls not in ``given`` (required unless defaulted, checked
+    against their types) and ``extra``."""
+    hints = _field_types(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.name not in given]
+    _require_keys(node, {f.name for f in fields} | extra,
+                  {f.name for f in fields if f.default is dataclasses.MISSING},
+                  where)
+    kwargs = {f.name: _value(node[f.name], hints[f.name], f"{where}.{f.name}")
+              for f in fields if f.name in node}
     try:
-        if family == "quadratic":
-            spec = profiles.Quadratic(K=node["K"], phi0=node["phi0"])
-        elif family == "type_a":
-            spec = profiles.TypeA(m=node["m"], K=node["K"],
-                                  alpha=node["alpha"], eta=node["eta"])
-        elif family == "type_b":
-            spec = profiles.TypeB(m=node["m"], K=node["K"],
-                                  alpha=node["alpha"], eta=node["eta"])
-        elif family == "type_c":
-            spec = profiles.TypeC(m=node["m"], c=node["c"], A=node["A"],
-                                  B=node["B"], C=node["C"])
-        elif family == "polynomial":
-            spec = profiles.Polynomial(coeffs=tuple(node["coeffs"]))
-        elif family == "custom":
-            spec = profiles.Custom(phi=tuple(node["phi"]), q=tuple(node["q"]))
-        else:
-            raise ConfigError(f"profile: unknown family {family!r}")
-    except KeyError as exc:
-        raise ConfigError(f"profile: missing parameter {exc}") from None
+        return cls(**given, **kwargs)
+    except SkrpError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def parse_profile(node: dict) -> profiles.Profile:
+    family = _kind(node, "family", FAMILIES, "profile")
+    spec = _spec(FAMILIES[family], node, "profile",
+                 {"family", "interval", "find_interval"})
     if "interval" in node:
-        return profiles.make_profile(spec, tuple(node["interval"]))
+        return profiles.make_profile(spec, _value(
+            node["interval"], tuple[float, float], "profile.interval"))
     if "find_interval" in node:
         fi = node["find_interval"]
         _require_keys(fi, {"seed"}, {"seed"}, "profile.find_interval")
-        return profiles.find_admissible_interval(spec, fi["seed"])
+        return profiles.find_admissible_interval(
+            spec, _value(fi["seed"], float, "profile.find_interval.seed"))
     if family == "quadratic":
-        return profiles.make_profile(
-            spec, (-abs(node["phi0"]), abs(node["phi0"])))
+        return profiles.make_profile(spec, (-abs(spec.phi0), abs(spec.phi0)))
     raise ConfigError("profile: needs 'interval' or 'find_interval'")
 
 
-@dataclass
+@dataclasses.dataclass
 class ModelContext:
     chart: Optional[tensor.ChartMetric]
     sphere: Optional[models.SphereModel]
@@ -95,61 +139,43 @@ class ModelContext:
 
 def parse_model(node: dict, profile: Optional[profiles.Profile]
                 ) -> ModelContext:
-    _require_keys(node, {"variant", "m", "a", "eps", "c", "K", "phi0", "t",
-                         "phi_window", "logr_halfwidth"}, {"variant"},
-                  "model")
-    variant = node["variant"]
+    variant = _kind(node, "variant", VARIANTS, "model")
+    cls, build = VARIANTS[variant]
+    given = {"profile": profile} if "profile" in _field_types(cls) else {}
+    if given and profile is None:
+        raise ConfigError(f"{variant} model requires a profile")
+    spec = _spec(cls, node, "model", {"variant"}, **given)
     try:
-        if variant == "shell":
-            if profile is None:
-                raise ConfigError("shell model requires a profile")
-            spec = models.ShellSpec(
-                m=node["m"], profile=profile, a=node["a"], eps=node["eps"],
-                c=node["c"],
-                phi_window=tuple(node["phi_window"])
-                if "phi_window" in node else None,
-                logr_halfwidth=node.get("logr_halfwidth", 1.5))
-            return ModelContext(models.build_shell(spec), None, profile,
-                                variant)
-        if variant == "annulus":
-            if profile is None:
-                raise ConfigError("annulus model requires a profile")
-            spec = models.AnnulusSpec(
-                profile=profile, a=node["a"],
-                phi_window=tuple(node["phi_window"])
-                if "phi_window" in node else None,
-                logr_halfwidth=node.get("logr_halfwidth", 1.5))
-            return ModelContext(models.build_annulus(spec), None, profile,
-                                variant)
-        if variant == "sphere":
-            sm = models.build_sphere(models.SphereSpec(K=node["K"],
-                                                       phi0=node["phi0"]))
-            return ModelContext(sm.chart, sm, sm.chart.meta["profile"],
-                                variant)
-        if variant == "product":
-            ch = models.build_product(models.ProductSpec(K=node["K"],
-                                                         t=node["t"]))
-            return ModelContext(ch, None, ch.meta["profile"], variant)
-    except KeyError as exc:
-        raise ConfigError(f"model: missing parameter {exc}") from None
+        built = getattr(models, build)(spec)
     except SkrpError as exc:
         raise ConfigError(f"model: {exc}") from None
-    raise ConfigError(f"model: unknown variant {variant!r}")
+    sphere = built if variant == "sphere" else None
+    chart = built.chart if sphere else built
+    return ModelContext(chart, sphere, chart.meta["profile"], variant)
 
 
 def parse_fd(node: Optional[dict]) -> tensor.FDConfig:
-    if node is None:
-        return tensor.FDConfig()
-    _require_keys(node, {"h", "richardson"}, set(), "fd")
-    return tensor.FDConfig(h=node.get("h", 1.0e-3),
-                           richardson=node.get("richardson", True))
+    return _spec(tensor.FDConfig, {} if node is None else node, "fd")
+
+
+def _context(config: dict, seed: Optional[int] = None
+             ) -> tuple[ModelContext, int, tensor.FDConfig]:
+    """Model, seed (a given one overrides the config's) and FD configuration
+    of a ``verify``, ``build`` or ``classify`` config."""
+    _require_keys(config, {"seed", "fd", "profile", "model", "checks", "out"},
+                  {"model"}, "config")
+    own = _value(config.get("seed", 0), int, "config.seed")
+    fd = parse_fd(config.get("fd"))
+    profile = parse_profile(config["profile"]) if "profile" in config else None
+    return (parse_model(config["model"], profile),
+            int(own if seed is None else seed), fd)
 
 
 # ---------------------------------------------------------------------------
 # Check registry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class CheckResult:
     name: str
     residual: float
@@ -165,8 +191,7 @@ def _result(name, residual, tol, note=""):
 
 
 def _points(ctx: ModelContext, params: dict, seed: int) -> np.ndarray:
-    return models.sample_points(ctx.chart, int(params.get("points", 100)),
-                                seed)
+    return models.sample_points(ctx.chart, params["points"], seed)
 
 
 def check_curvature_constant(ctx, params, fd, seed):
@@ -175,7 +200,7 @@ def check_curvature_constant(ctx, params, fd, seed):
     if ctx.variant != "sphere":
         raise ConfigError("curvature_constant applies to the sphere model")
     K = ctx.chart.meta["K"]
-    count = int(params.get("points", 50))
+    count = params["points"]
     rng = np.random.default_rng(seed)
     n_near = max(4, count // 5)
     r = np.concatenate([
@@ -185,26 +210,23 @@ def check_curvature_constant(ctx, params, fd, seed):
     pts = np.column_stack([r * np.cos(th), r * np.sin(th)])
     gauss = tensor.curvature(ctx.chart, pts, fd).scalar / 2.0
     worst = float(np.max(np.abs(gauss - K) / K))
-    return [_result("curvature_constant", worst,
-                    params.get("tolerance", 1e-5),
+    return [_result("curvature_constant", worst, params["tolerance"],
                     note=f"relative deviation from K={K} at {count} points")]
 
 
 def check_distance(ctx, params, fd, seed):
-    """Distance invariant of the profile by quadrature, optionally against
-    an expected value.  The sphere's geodesic pole-to-pole length is a row
-    of normal_geodesics."""
+    """Distance invariant of the profile by quadrature against the expected
+    value.  The sphere's geodesic pole-to-pole length is a row of
+    normal_geodesics."""
     L = reparam.critical_distance(ctx.profile)
-    if "expected" not in params:
-        return []
     return [_result("distance_quadrature", abs(L - params["expected"]),
-                    params.get("tolerance", 1e-8), note=f"L={L!r}")]
+                    params["tolerance"], note=f"L={L!r}")]
 
 
 def check_skrp_blocks(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
     rep = verify.skrp_report(ctx.chart, pts, fd)
-    tol = params.get("tolerance", 1e-5)
+    tol = params["tolerance"]
     return [
         _result("hess_orthogonal_block", rep.hess_h_res, tol),
         _result("hess_gradient_block", rep.hess_v_res, tol),
@@ -220,7 +242,7 @@ def check_skrp_blocks(ctx, params, fd, seed):
 def check_identities(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
     rep = verify.identity_report(ctx.chart, pts, fd)
-    tol = params.get("tolerance", 1e-5)
+    tol = params["tolerance"]
     out = [
         _result("gradient_dq", rep.dq_res, tol),
         _result("laplacian_trace", rep.trace_res, tol),
@@ -240,35 +262,29 @@ def check_conformal_einstein(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
     rep = verify.conformal_einstein_report(ctx.chart, pts, fd)
     return [
-        _result("einstein_residual", rep.einstein_res,
-                params.get("tolerance", 1e-4)),
+        _result("einstein_residual", rep.einstein_res, params["tolerance"]),
         _result("einstein_constant_spread", rep.lambda_spread,
-                params.get("tolerance", 1e-4)),
-        _result("wedge_residual", rep.wedge_res,
-                params.get("wedge_tolerance", 1e-6)),
+                params["tolerance"]),
+        _result("wedge_residual", rep.wedge_res, 1e-6),
     ]
 
 
 def check_kahler(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
-    tol = params.get("tolerance", 1e-6)
     worst = float(np.max(tensor.kahler_residuals(ctx.chart, pts, fd).worst()))
-    return [_result("kahler_residuals", worst, tol)]
+    return [_result("kahler_residuals", worst, params["tolerance"])]
 
 
 def check_killing(ctx, params, fd, seed):
     pts = _points(ctx, params, seed)
-    tol = params.get("tolerance", 1e-6)
     worst = float(np.max(tensor.killing_residual(ctx.chart, pts, fd).worst()))
-    return [_result("killing_residuals", worst, tol)]
+    return [_result("killing_residuals", worst, params["tolerance"])]
 
 
 def check_soliton(ctx, params, fd, seed):
-    _require_keys(params, {"p", "s0", "points", "tolerance"}, {"p", "s0"},
-                  "checks.soliton")
     pts = _points(ctx, params, seed)
     res = verify.soliton_report(ctx.chart, params["p"], params["s0"], pts, fd)
-    return [_result("soliton_residual", res, params.get("tolerance", 1e-4))]
+    return [_result("soliton_residual", res, params["tolerance"])]
 
 
 def check_normal_geodesics(ctx, params, fd, seed):
@@ -279,13 +295,11 @@ def check_normal_geodesics(ctx, params, fd, seed):
     else:
         raise ConfigError("normal_geodesics applies to sphere or shell")
     out = [
-        _result("dphi_ds", rep.dphids_res, params.get("tolerance", 1e-5)),
-        _result("gauss_orthogonality", rep.gauss_res,
-                params.get("gauss_tolerance", 1e-4)),
+        _result("dphi_ds", rep.dphids_res, params["tolerance"]),
+        _result("gauss_orthogonality", rep.gauss_res, 1e-4),
     ]
     if rep.distance_vs_L is not None:
-        out.append(_result("distance_geodesic", rep.distance_vs_L,
-                           params.get("distance_tolerance", 1e-4)))
+        out.append(_result("distance_geodesic", rep.distance_vs_L, 1e-4))
     return out
 
 
@@ -311,16 +325,15 @@ def check_duality(ctx, params, fd, seed):
     worst_g = float(np.max(g_gap, initial=0.0))
     worst_phi = float(np.max(phi_gap, initial=0.0))
     return [
-        _result("inversion_pullback", worst_g, params.get("tolerance", 1e-10)),
-        _result("inversion_phi", worst_phi,
-                params.get("phi_tolerance", 1e-9)),
+        _result("inversion_pullback", worst_g, params["tolerance"]),
+        _result("inversion_phi", worst_phi, 1e-9),
     ]
 
 
 def check_connection_form(ctx, params, fd, seed):
     """Curvature form of the canonical connection vs -2 times the
     Fubini-Study form on the affine chart of the projective line."""
-    count = int(params.get("points", 100))
+    count = params["points"]
     rng = np.random.default_rng(seed)
     r = np.sqrt(rng.uniform(0.0, 4.0, count))
     th = rng.uniform(0, 2 * math.pi, count)
@@ -330,20 +343,18 @@ def check_connection_form(ctx, params, fd, seed):
                          initial=0.0))
     worst_im = float(np.max(np.abs(data.omega.imag), initial=0.0))
     return [
-        _result("connection_curvature", worst, params.get("tolerance", 1e-6)),
-        _result("connection_curvature_imag", worst_im,
-                params.get("imag_tolerance", 1e-8)),
+        _result("connection_curvature", worst, params["tolerance"]),
+        _result("connection_curvature_imag", worst_im, 1e-8),
     ]
 
 
 def check_boundary(ctx, params, fd, seed):
-    rep = profiles.check_boundary(ctx.profile,
-                                  tol=params.get("profile_tolerance"))
+    rep = profiles.check_boundary(ctx.profile)
     s = rep.endpoint_slopes
     residual = abs(s[0] + s[1]) / max(abs(s[0]), abs(s[1]), 1e-300)
     return [_result("boundary_conditions",
                     residual if rep.passed else max(residual, 1.0),
-                    params.get("tolerance", 1e-9),
+                    params["tolerance"],
                     note=f"slopes={s!r}")]
 
 
@@ -371,9 +382,42 @@ CHECKS: dict[str, Callable] = {
     "classify": check_classify,
 }
 
-_CHECK_KEYS = {"name", "tolerance", "points", "p", "s0", "expected",
-               "gauss_tolerance", "distance_tolerance", "wedge_tolerance",
-               "phi_tolerance", "imag_tolerance", "profile_tolerance"}
+# Each check's parameters: key -> default, None for a required key.  A plan
+# entry takes only its check's keys; ``_resolve`` fills in the defaults.
+CHECK_PARAMS: dict[str, dict] = {
+    "curvature_constant": {"points": 50, "tolerance": 1e-5},
+    "distance": {"expected": None, "tolerance": 1e-8},
+    "skrp_blocks": {"points": 100, "tolerance": 1e-5},
+    "identities": {"points": 100, "tolerance": 1e-5},
+    "conformal_einstein": {"points": 100, "tolerance": 1e-4},
+    "kahler": {"points": 100, "tolerance": 1e-6},
+    "killing": {"points": 100, "tolerance": 1e-6},
+    "soliton": {"p": None, "s0": None, "points": 100, "tolerance": 1e-4},
+    "normal_geodesics": {"tolerance": 1e-5},
+    "duality": {"points": 100, "tolerance": 1e-10},
+    "connection_form": {"points": 100, "tolerance": 1e-6},
+    "boundary": {"tolerance": 1e-9},
+    "classify": {},
+}
+
+
+def _resolve(entry: dict, tol_scale: float) -> tuple[str, dict]:
+    """Check name and parameters of a plan entry: numbers of the default's
+    type (float if required), points > 0, tolerance times tol_scale."""
+    name = _kind(entry, "name", CHECKS, "checks[]")
+    table = CHECK_PARAMS[name]
+    where = f"checks.{name}"
+    _require_keys(entry, {"name", *table},
+                  {"name", *(k for k, v in table.items() if v is None)}, where)
+    params = {key: _value(entry.get(key, default),
+                          float if default is None else type(default),
+                          f"{where}.{key}")
+              for key, default in table.items()}
+    if params.get("points", 1) < 1:
+        raise ConfigError(f"{where}.points: expected a positive int")
+    if "tolerance" in params:
+        params["tolerance"] *= tol_scale
+    return name, params
 
 
 # ---------------------------------------------------------------------------
@@ -383,43 +427,23 @@ _CHECK_KEYS = {"name", "tolerance", "points", "p", "s0", "expected",
 def run_config(config: dict, seed_override: Optional[int] = None,
                tol_scale: float = 1.0, threads: int = 1) -> tuple[int, str]:
     """Execute a verification plan; returns (exit_code, report_text)."""
-    _require_keys(config, {"seed", "fd", "profile", "model", "checks",
-                           "out"}, {"model", "checks"}, "config")
-    seed = int(seed_override if seed_override is not None
-               else config.get("seed", 0))
-    fd = parse_fd(config.get("fd"))
-    profile = parse_profile(config["profile"]) if "profile" in config else None
-    ctx = parse_model(config["model"], profile)
-    plan = config["checks"]
-    if not isinstance(plan, list):
+    ctx, seed, fd = _context(config, seed_override)
+    if not isinstance(config.get("checks"), list):
         raise ConfigError("checks: expected a list")
+    # Resolve the whole plan before running anything.
+    plan = [_resolve(entry, tol_scale) for entry in config["checks"]]
 
-    def run_one(entry):
-        name = entry["name"]
-        params = dict(entry)
-        params.pop("name")
-        if tol_scale != 1.0:
-            for key in list(params):
-                if key.endswith("tolerance") and isinstance(
-                        params[key], (int, float)):
-                    params[key] = params[key] * tol_scale
+    def run_one(item):
+        name, params = item
         try:
             return CHECKS[name](ctx, params, fd, seed)
         except ConfigError:
             raise
         except SkrpError as exc:
             # One failing check does not end the run: it becomes a failed row.
-            return [CheckResult(name=name, residual=math.inf,
-                                tolerance=float(params.get("tolerance",
-                                                           math.nan)),
-                                passed=False,
-                                note=f"error {type(exc).__name__}: {exc}")]
-
-    # Validate the whole plan before running anything.
-    for entry in plan:
-        _require_keys(entry, _CHECK_KEYS, {"name"}, "checks[]")
-        if entry["name"] not in CHECKS:
-            raise ConfigError(f"unknown check {entry['name']!r}")
+            return [CheckResult(name, math.inf,
+                                float(params.get("tolerance", math.nan)),
+                                False, f"error {type(exc).__name__}: {exc}")]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -439,16 +463,15 @@ def _render_report(config: dict, seed: int,
     canon["seed"] = seed
     lines.append("config: " + json.dumps(canon, sort_keys=True,
                                          separators=(",", ":")))
-    n_pass = n_fail = 0
     for r in results:
-        n_pass += r.passed
-        n_fail += not r.passed
         lines.append(
             f"check: name={r.name} residual={r.residual!r} "
             f"tolerance={r.tolerance!r} pass={str(r.passed).lower()}"
             + (f" note={r.note}" if r.note else ""))
+    n_fail = sum(not r.passed for r in results)
     code = 0 if n_fail == 0 else 1
-    lines.append(f"summary: pass={n_pass} fail={n_fail} exit={code}")
+    lines.append(f"summary: pass={len(results) - n_fail} fail={n_fail} "
+                 f"exit={code}")
     return code, "\n".join(lines) + "\n"
 
 
@@ -456,15 +479,22 @@ def _render_report(config: dict, seed: int,
 # Sweeps
 # ---------------------------------------------------------------------------
 
-def _axis_values(node) -> list:
-    if isinstance(node, list):
-        return list(node)
+# Sweep kind -> its axes and their default values.
+SWEEP_AXES = {"slope_poly": {"k": [2], "beta": [0.0]},
+              "type_a_admissible": {"m": [2], "K": [1.0], "alpha": [0.0],
+                                    "eta": [-1.0]}}
+
+
+def _axis_values(node, where: str) -> list:
+    """A sweep axis: a list, one number, or {start, stop, num} (linspace)."""
     if isinstance(node, dict):
         _require_keys(node, {"start", "stop", "num"},
-                      {"start", "stop", "num"}, "sweep axis")
-        return list(np.linspace(node["start"], node["stop"],
-                                int(node["num"])))
-    return [node]
+                      {"start", "stop", "num"}, where)
+        return list(np.linspace(_value(node["start"], float, where),
+                                _value(node["stop"], float, where),
+                                _value(node["num"], int, where)))
+    return [_value(v, float, where)
+            for v in (node if isinstance(node, list) else [node])]
 
 
 def run_sweep(config: dict) -> str:
@@ -476,50 +506,39 @@ def run_sweep(config: dict) -> str:
     """
     _require_keys(config, {"sweep", "out"}, {"sweep"}, "config")
     node = config["sweep"]
-    _require_keys(node, {"kind", "k", "beta", "m", "K", "alpha", "eta"},
-                  {"kind"}, "sweep")
-    kind = node["kind"]
+    kind = _kind(node, "kind", SWEEP_AXES, "sweep")
+    axes = SWEEP_AXES[kind]
+    _require_keys(node, {"kind", *axes}, {"kind"}, "sweep")
+    grid = itertools.product(*(_axis_values(node.get(key, default),
+                                            f"sweep.{key}")
+                               for key, default in axes.items()))
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
     if kind == "slope_poly":
         writer.writerow(["k", "beta", "f", "factor_residual"])
-        for k in _axis_values(node.get("k", [2])):
-            for beta in _axis_values(node.get("beta", [0.0])):
-                f, res = profiles.slope_constraint_poly(int(k), float(beta))
-                writer.writerow([int(k), repr(float(beta)), repr(f),
-                                 repr(res)])
-        return buf.getvalue()
-    if kind == "type_a_admissible":
+        for k, beta in grid:
+            f, res = profiles.slope_constraint_poly(int(k), float(beta))
+            writer.writerow([int(k), repr(float(beta)), repr(f), repr(res)])
+    else:
         writer.writerow(["m", "K", "alpha", "eta", "found", "boundary_pass",
                          "symmetric"])
-        for m in _axis_values(node.get("m", [2])):
-            for K in _axis_values(node.get("K", [1.0])):
-                for alpha in _axis_values(node.get("alpha", [0.0])):
-                    for eta in _axis_values(node.get("eta", [-1.0])):
-                        spec = profiles.TypeA(m=int(m), K=float(K),
-                                              alpha=float(alpha),
-                                              eta=float(eta))
-                        rep = profiles.symmetric_family_report(spec)
-                        writer.writerow([int(m), repr(float(K)),
-                                         repr(float(alpha)),
-                                         repr(float(eta)),
-                                         int(rep.found),
-                                         int(rep.boundary_ok),
-                                         int(rep.symmetric)])
-        return buf.getvalue()
-    raise ConfigError(f"sweep: unknown kind {kind!r}")
+        for m, K, alpha, eta in grid:
+            rep = profiles.symmetric_family_report(profiles.TypeA(
+                m=int(m), K=float(K), alpha=float(alpha), eta=float(eta)))
+            writer.writerow([int(m), repr(float(K)), repr(float(alpha)),
+                             repr(float(eta)), int(rep.found),
+                             int(rep.boundary_ok), int(rep.symmetric)])
+    return buf.getvalue()
 
 
 # ---------------------------------------------------------------------------
 # Build / classify / report rendering
 # ---------------------------------------------------------------------------
 
-def run_build(config: dict, seed: int) -> str:
-    """Emit chart metadata and a sampled metric grid as CSV."""
-    _require_keys(config, {"seed", "fd", "profile", "model", "checks",
-                           "out"}, {"model"}, "config")
-    profile = parse_profile(config["profile"]) if "profile" in config else None
-    ctx = parse_model(config["model"], profile)
+def run_build(config: dict, seed: Optional[int] = None) -> str:
+    """Emit chart metadata and a sampled metric grid as CSV; seed None reads
+    the config's."""
+    ctx, seed, _ = _context(config, seed)
     chart = ctx.chart
     pts = models.sample_points(chart, 32, seed)
     g = np.asarray(chart.g(pts))
@@ -553,9 +572,8 @@ def render_summary(report_text: str) -> str:
     for name, res, tol, ok in rows:
         out.append(f"{name.ljust(width)}  {float(res):13.3e}  "
                    f"{float(tol):10.1e}  {ok}")
-    for line in report_text.splitlines():
-        if line.startswith("summary: "):
-            out.append(line)
+    out += [ln for ln in report_text.splitlines()
+            if ln.startswith("summary: ")]
     return "\n".join(out) + "\n"
 
 
@@ -615,42 +633,33 @@ def main(argv: Optional[list] = None) -> int:
             _write_out(render_summary(text), args.out)
             return 0
         config = _load_config(args.config)
+        code = 0
         if args.command == "verify":
             threads = (args.threads if args.threads is not None
                        else _env_threads())
             code, text = run_config(config, seed_override=args.seed,
                                     tol_scale=args.tol_scale,
                                     threads=max(1, threads))
-            out = args.out or config.get("out")
-            _write_out(text, out)
-            return code
-        if args.command == "build":
-            seed = args.seed if args.seed is not None else int(
-                config.get("seed", 0))
-            text = run_build(config, seed)
-            _write_out(text, args.out or config.get("out"))
-            return 0
-        if args.command == "classify":
-            profile = (parse_profile(config["profile"])
-                       if "profile" in config else None)
-            ctx = parse_model(config["model"], profile)
+        elif args.command == "build":
+            text = run_build(config, args.seed)
+        elif args.command == "classify":
+            ctx, _, _ = _context(config)
             tag = verify.classify_model(ctx.chart, ctx.profile)
-            _write_out(f"type={tag.tag} eps={tag.eps} "
-                       f"excluded={str(tag.excluded).lower()}"
-                       + (f" note={tag.note}" if tag.note else "") + "\n",
-                       args.out)
-            return 0
-        if args.command == "sweep":
+            text = (f"type={tag.tag} eps={tag.eps} "
+                    f"excluded={str(tag.excluded).lower()}"
+                    + (f" note={tag.note}" if tag.note else "") + "\n")
+        else:
             text = run_sweep(config)
-            _write_out(text, args.out or config.get("out"))
-            return 0
+        # A classify config's "out" names the verify report, not this line.
+        _write_out(text, args.out if args.command == "classify"
+                   else args.out or config.get("out"))
+        return code
     except ConfigError as exc:
         sys.stderr.write(f"config error: {exc}\n")
         return 2
     except SkrpError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    return 0
 
 
 if __name__ == "__main__":

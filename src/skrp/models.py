@@ -24,6 +24,9 @@ from .tensor import ChartMetric, FDConfig, partials
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 
+# Bound on |log r| of a shell or annulus chart, around the anchor radius 1.
+LOGR_HALFWIDTH = 1.5
+
 
 def standard_J(m: int) -> np.ndarray:
     """Block-diagonal complex structure pairing coordinates (2j, 2j+1)."""
@@ -39,9 +42,7 @@ class ShellSpec:
     """Spherical-shell model in C^m: radial metric driven by a profile.
 
     ``phi_window`` selects the sub-interval of the profile carried by the
-    chart (default: the interval shrunk by 10% of its length per side);
-    ``logr_halfwidth`` bounds the chart's radial extent around the anchor
-    radius r = 1.
+    chart (default: the interval shrunk by 10% of its length per side).
     """
 
     m: int
@@ -50,7 +51,6 @@ class ShellSpec:
     eps: int
     c: float
     phi_window: Optional[tuple[float, float]] = None
-    logr_halfwidth: float = 1.5
 
     def __post_init__(self):
         if self.m < 2:
@@ -72,7 +72,6 @@ class AnnulusSpec:
     profile: Profile
     a: float
     phi_window: Optional[tuple[float, float]] = None
-    logr_halfwidth: float = 1.5
 
 
 @dataclass(frozen=True)
@@ -110,7 +109,7 @@ class ProductSpec:
 # ---------------------------------------------------------------------------
 
 def _radial_chart(profile: Profile, a: float, m: int, theta_h_fn,
-                  phi_window, logr_halfwidth, meta_extra) -> ChartMetric:
+                  phi_window, meta_extra) -> ChartMetric:
     """Common machinery for shell (m >= 2) and annulus (m = 1) charts."""
     lo, hi = profile.interval
     if phi_window is None:
@@ -123,8 +122,8 @@ def _radial_chart(profile: Profile, a: float, m: int, theta_h_fn,
     mid = 0.5 * (w_lo + w_hi)
     table = build_reparam(profile, a, anchor=(mid, 1.0))
     lr = sorted((float(table.log_r(w_lo)), float(table.log_r(w_hi))))
-    lr_lo = max(lr[0], -logr_halfwidth)
-    lr_hi = min(lr[1], logr_halfwidth)
+    lr_lo = max(lr[0], -LOGR_HALFWIDTH)
+    lr_hi = min(lr[1], LOGR_HALFWIDTH)
     eps_len = 1e-9 * (hi - lo)
     avail = sorted((float(table.log_r(lo + eps_len)),
                     float(table.log_r(hi - eps_len))))
@@ -193,14 +192,12 @@ def build_shell(spec: ShellSpec) -> ChartMetric:
         return 2.0 * np.abs(phi - c) / (abs_a * r2)
 
     return _radial_chart(spec.profile, a, spec.m, theta_h, spec.phi_window,
-                         spec.logr_halfwidth,
                          {"model": "shell", "eps": spec.eps, "c": c})
 
 
 def build_annulus(spec: AnnulusSpec) -> ChartMetric:
     """Conformal annulus chart: g = Q / (a r)^2 times the Euclidean metric."""
     return _radial_chart(spec.profile, spec.a, 1, None, spec.phi_window,
-                         spec.logr_halfwidth,
                          {"model": "annulus", "eps": 0, "c": None})
 
 

@@ -344,12 +344,9 @@ class Profile:
         return self.interval[1]
 
     @property
-    def is_custom(self) -> bool:
-        return isinstance(self.spec, Custom)
-
-    @property
     def slope_tol(self) -> float:
-        return SLOPE_TOL_CUSTOM if self.is_custom else SLOPE_TOL_CLOSED
+        return (SLOPE_TOL_CUSTOM if isinstance(self.spec, Custom)
+                else SLOPE_TOL_CLOSED)
 
 
 def make_profile(spec: ProfileSpec, interval: Sequence[float]) -> Profile:
@@ -459,7 +456,6 @@ class BoundaryReport:
     positivity_ok: bool
     slopes_nonzero: bool
     slopes_opposite: bool
-    tol: float
 
     @property
     def passed(self) -> bool:
@@ -488,8 +484,7 @@ def check_boundary(profile: Profile, tol: Optional[float] = None) -> BoundaryRep
     opposite = abs(s[0] + s[1]) <= tol * max(abs(s[0]), abs(s[1]), 1e-300)
     return BoundaryReport(endpoint_values=v, endpoint_slopes=s,
                           endpoints_vanish=vanish, positivity_ok=positive,
-                          slopes_nonzero=nonzero, slopes_opposite=opposite,
-                          tol=tol)
+                          slopes_nonzero=nonzero, slopes_opposite=opposite)
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import SingularMetric, SkrpError, StencilOutOfDomain
+from .errors import BadParams, SingularMetric, SkrpError, StencilOutOfDomain
 
 # Stencil points per evaluation of a chart callable: large enough that call
 # overhead is small, small enough that a chunk of n = 8 metric values stays
@@ -62,7 +62,7 @@ class FDConfig:
 
     def __post_init__(self):
         if not self.h > 0:
-            raise ValueError("FDConfig.h must be positive")
+            raise BadParams("FDConfig.h must be positive")
 
 
 @dataclass(frozen=True)

@@ -125,9 +125,6 @@ class EigenstructureReport:
     (1 + |lam| + |mu|) for the Ricci tensor.
     """
 
-    points: np.ndarray
-    phi: np.ndarray
-    Q: np.ndarray
     sigma: np.ndarray
     tau: np.ndarray
     lam: np.ndarray
@@ -181,8 +178,7 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
             eps_ok = not np.any((np.abs(sp.sigma_h) > 1e-8)
                                 & (np.sign(sp.sigma_h) != eps))
     return EigenstructureReport(
-        points=points, phi=np.asarray(chart.phi(points), dtype=float),
-        Q=sp.pot.Q, sigma=sigma, tau=tau, lam=lam, mu=mu, Y=sp.pot.Y,
+        sigma=sigma, tau=tau, lam=lam, mu=mu, Y=sp.pot.Y,
         hess_h_res=res["hh"], hess_v_res=res["hv"], hess_mixed_res=res["hm"],
         ricci_h_res=res["rh"], ricci_v_res=res["rv"], ricci_mixed_res=res["rm"],
         eps_consistent=eps_ok)
@@ -326,7 +322,6 @@ class ConformalEinsteinReport:
     einstein_res: float
     lambda_spread: float
     wedge_res: float
-    lambdas: np.ndarray
 
 
 def conformal_chart(chart: ChartMetric, phi_floor: float) -> ChartMetric:
@@ -372,8 +367,7 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
         1.0 + float(np.median(np.abs(lambdas))))
     return ConformalEinsteinReport(einstein_res=einstein_res,
                                    lambda_spread=spread,
-                                   wedge_res=_worst(_amax(wedge) / scale),
-                                   lambdas=lambdas)
+                                   wedge_res=_worst(_amax(wedge) / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -466,18 +460,22 @@ def sphere_normal_geodesics(model, fd: FDConfig, n_fan: int = 16,
     """
     L = math.pi / math.sqrt(model.chart.meta["K"])
     path, dres, gres = _fan(model.chart, 0.0, 0.9 * L, fd, n_fan, n_steps)
-    # Equator crossing of the first ray: r[k - 1] < 1 <= r[k].
+    return NormalGeodesicReport(
+        dphids_res=dres, gauss_res=gres,
+        distance_vs_L=abs(2.0 * _unit_circle_crossing(path) - L))
+
+
+def _unit_circle_crossing(path: GeodesicPath) -> float:
+    """Arclength where the first ray of path, started inside r = 1, first
+    reaches it, on the cubic Hermite interpolant of r(s), dr/ds = x . v / r,
+    over the samples r[k - 1] < 1 <= r[k].  The ray must reach r = 1: the
+    sphere's does at s = L/2."""
     r = np.linalg.norm(path.x[0], axis=1)
     k = int(np.argmax(r >= 1.0))
-    distance = None
-    if k > 0:
-        seg = slice(k - 1, k + 1)
-        drds = np.einsum("si,si->s", path.x[0, seg], path.v[0, seg]) / r[seg]
-        s_cross = CubicHermiteSpline(path.s[seg], r[seg], drds).solve(
-            1.0, extrapolate=False)[0]
-        distance = abs(2.0 * s_cross - L)
-    return NormalGeodesicReport(dphids_res=dres, gauss_res=gres,
-                                distance_vs_L=distance)
+    seg = slice(k - 1, k + 1)
+    drds = np.einsum("si,si->s", path.x[0, seg], path.v[0, seg]) / r[seg]
+    return float(CubicHermiteSpline(path.s[seg], r[seg], drds).solve(
+        1.0, extrapolate=False)[0])
 
 
 def shell_normal_geodesics(chart: ChartMetric, fd: FDConfig, n_fan: int = 16,

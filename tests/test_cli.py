@@ -40,6 +40,51 @@ SHELL_CONFIG = {
 }
 
 
+def patched(config, path, value):
+    """A copy of config with the entry at a dotted path (list indices as
+    numbers) set to value."""
+    out = json.loads(json.dumps(config))
+    *keys, last = [int(k) if k.isdigit() else k for k in path.split(".")]
+    node = out
+    for key in keys:
+        node = node[key]
+    node[last] = value
+    return out
+
+
+TYPE_A_PROFILE = {"family": "type_a", "m": 2, "K": 1.0, "alpha": 0.0,
+                  "eta": -6.0}
+
+# Subcommand and config of malformed inputs, each a config error (exit 2).
+BAD_INPUTS = {
+    "classify_without_model": ("classify", {"checks": []}),
+    "classify_list_config": ("classify", []),
+    "profile_K_string": ("verify", patched(SHELL_CONFIG, "profile.K", "x")),
+    "model_m_fraction": ("verify", patched(SHELL_CONFIG, "model.m", 2.5)),
+    "phi_window_one_value": ("verify", patched(SHELL_CONFIG,
+                                               "model.phi_window", [0.0])),
+    "points_string": ("verify", patched(SHELL_CONFIG, "checks.0.points",
+                                        "many")),
+    "tolerance_string": ("verify", patched(SHELL_CONFIG,
+                                           "checks.0.tolerance", "x")),
+    "verify_seed_string": ("verify", patched(SHELL_CONFIG, "seed", "x")),
+    "build_seed_string": ("build", patched(SHELL_CONFIG, "seed", "x")),
+    "sweep_axis_string": ("sweep", {"sweep": {"kind": "slope_poly",
+                                              "k": ["a"]}}),
+    "interval_string": ("verify", patched(SHELL_CONFIG, "profile.interval",
+                                          "x")),
+    "find_interval_seed_string": ("verify", patched(
+        SHELL_CONFIG, "profile", dict(TYPE_A_PROFILE,
+                                      find_interval={"seed": "x"}))),
+    "alpha_on_quadratic": ("verify", patched(SHELL_CONFIG, "profile.alpha",
+                                             0.5)),
+    "m_on_sphere": ("verify", patched(SPHERE_CONFIG, "model.m", 2)),
+    "p_on_kahler": ("verify", patched(SPHERE_CONFIG, "checks.0.p", 0.5)),
+    "gauss_tolerance": ("verify", patched(SHELL_CONFIG,
+                                          "checks.0.gauss_tolerance", 1e-4)),
+}
+
+
 def report_rows(text):
     """Residuals of a report's check rows, by row name."""
     rows = {}
@@ -120,6 +165,22 @@ class TestRunConfig:
         code, _ = cli.run_config(config, tol_scale=1e6)
         assert code == 0
 
+    def test_tol_scale_multiplies_default_tolerance(self):
+        config = json.loads(json.dumps(SHELL_CONFIG))
+        config["checks"] = [{"name": "kahler", "points": 4}]
+        code, text = cli.run_config(config, tol_scale=1e-3)
+        assert code == 0
+        assert "name=kahler_residuals" in text and "tolerance=1e-09" in text
+
+    def test_distance_requires_expected(self):
+        config = json.loads(json.dumps(SPHERE_CONFIG))
+        config["checks"] = [{"name": "distance", "tolerance": 1e-8}]
+        with pytest.raises(ConfigError, match="expected"):
+            cli.run_config(config)
+
+    def test_every_check_has_its_parameters(self):
+        assert set(cli.CHECK_PARAMS) == set(cli.CHECKS)
+
     def test_threads_do_not_change_results(self):
         def strip(text):
             return "\n".join(ln for ln in text.splitlines()
@@ -192,7 +253,7 @@ class TestRunConfig:
         assert cli.main(["verify", "--config", str(cfg),
                          "--out", str(out)]) == 1
         text = out.read_text()
-        assert ("residual=inf tolerance=nan pass=false note=error "
+        assert ("residual=inf tolerance=1e-05 pass=false note=error "
                 "StencilOutOfDomain: 16 of 16 fan rays") in text
         assert "summary: pass=0 fail=1 exit=1" in text
 
@@ -271,6 +332,18 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"model": {"variant": "torus"},
                                    "checks": []}))
         assert cli.main(["verify", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("command, config", BAD_INPUTS.values(),
+                             ids=BAD_INPUTS)
+    def test_bad_input_exit_two(self, command, config, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--config", str(cfg),
+                         "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
 
     def test_bad_thread_variable_exit_two(self, tmp_path, capsys,
                                           monkeypatch):

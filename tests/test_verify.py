@@ -51,6 +51,67 @@ class TestEigenstructure:
         assert np.max(np.abs(rep.mu)) < 1e-7
 
 
+def closed_form_shell(name):
+    """A shell chart (a = 1, eps = 1) over a profile of each family, c below
+    the profile interval unless the family fixes it."""
+    def shell(prof, m=2, c=None, **kw):
+        lo, hi = prof.interval
+        return models.build_shell(models.ShellSpec(
+            m=m, profile=prof, a=1.0, eps=1,
+            c=lo - 0.5 * (hi - lo) if c is None else c, **kw))
+
+    quadratic = profiles.make_profile(profiles.Quadratic(K=1.0, phi0=1.0),
+                                      (-1.0, 1.0))
+    return {
+        "quadratic_m2": lambda: shell(quadratic, m=2, c=-2.0),
+        "quadratic_m3": lambda: shell(quadratic, m=3, c=-2.0),
+        "quadratic_m4": lambda: shell(quadratic, m=4, c=-2.0),
+        "type_a": lambda: shell(profiles.find_admissible_interval(
+            profiles.TypeA(m=3, K=1.5, alpha=0.0, eta=-2.0), 0.0)),
+        "type_b": lambda: shell(profiles.find_admissible_interval(
+            profiles.TypeB(m=3, K=0.0, alpha=-1.0, eta=-1.0), 0.0)),
+        "type_c": lambda: shell(profiles.make_profile(
+            profiles.TypeC(m=2, c=1.0, A=2.0, B=-0.4, C=0.1), (1.35, 2.55)),
+            c=1.0, phi_window=(1.5, 2.4)),
+        "polynomial": lambda: shell(profiles.make_profile(
+            profiles.Polynomial(coeffs=(1.0, 0.2, 0.3)), (-0.8, 0.9))),
+        "soliton": lambda: shell(profiles.soliton_profile(
+            m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0, anchor=(1.0, 0.5),
+            rng=(0.4, 2.2)), c=0.0),
+    }[name]()
+
+
+def closed_form_y_mu(chart, pts, k):
+    """Y = Q' + k Q/(phi - c) and mu = -1/2 [Q'' + k ((phi - c) Q' - Q) /
+    (phi - c)^2] from the profile at phi(x); k = m - 1 on a shell."""
+    prof, c = chart.meta["profile"], chart.meta["c"]
+    phi = chart.phi(pts)
+    d = phi - c
+    q, dq, d2q = prof.q(phi), prof.dq(phi), prof.d2q(phi)
+    return dq + k * q / d, -0.5 * (d2q + k * (d * dq - q) / d ** 2)
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("name", [
+        "quadratic_m2", "quadratic_m3", "quadratic_m4", "type_a", "type_b",
+        "type_c", "polynomial", "soliton"])
+    def test_y_and_mu_of_phi(self, name, fd):
+        # Worst measured gaps over these shells: Y 4.9e-8, mu 9.7e-7 (in
+        # units of 1 + |value|).  With m in place of m - 1 in the closed
+        # forms, the gap exceeds the bound at every point.
+        chart = closed_form_shell(name)
+        m = chart.meta["m"]
+        for seed in (1, 2, 3):
+            pts = models.sample_points(chart, 40, seed)
+            rep = verify.skrp_report(chart, pts, fd)
+            for k, holds in ((m - 1, True), (m, False)):
+                Y, mu = closed_form_y_mu(chart, pts, k)
+                for fd_value, exact in ((rep.Y, Y), (rep.mu, mu)):
+                    within = (np.abs(fd_value - exact)
+                              <= 1e-5 * (1.0 + np.abs(exact)))
+                    assert np.all(within) if holds else not np.any(within)
+
+
 class TestIdentities:
     def test_shell(self, shell_chart, shell_points, fd):
         rep = verify.identity_report(shell_chart, shell_points, fd)
