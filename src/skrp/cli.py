@@ -65,7 +65,7 @@ def _require_keys(node: dict, allowed: set, required: set, where: str):
 
 def _value(value, kind, where: str):
     """value checked against a field type: int, float (an int will do), bool,
-    or ``[Optional] tuple[...]``, a list of that many numbers (any number
+    str, or ``[Optional] tuple[...]``, a list of that many numbers (any number
     for a bare tuple) returned as a tuple."""
     if get_origin(kind) in (Union, types.UnionType):
         kind, = (t for t in get_args(kind) if t is not type(None))
@@ -76,7 +76,7 @@ def _value(value, kind, where: str):
                               f"{size or 'any number of'} numbers")
         return tuple(_value(v, float, where) for v in value)
     # A bool is an int to isinstance, but no number in a config.
-    allowed = {bool: bool, int: int, float: (int, float)}[kind]
+    allowed = {bool: bool, int: int, float: (int, float), str: str}[kind]
     if (not isinstance(value, allowed)
             or isinstance(value, bool) != (kind is bool)):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
@@ -116,16 +116,23 @@ def parse_profile(node: dict) -> profiles.Profile:
     family = _kind(node, "family", FAMILIES, "profile")
     spec = _spec(FAMILIES[family], node, "profile",
                  {"family", "interval", "find_interval"})
-    if "interval" in node:
-        return profiles.make_profile(spec, _value(
-            node["interval"], tuple[float, float], "profile.interval"))
-    if "find_interval" in node:
-        fi = node["find_interval"]
-        _require_keys(fi, {"seed"}, {"seed"}, "profile.find_interval")
-        return profiles.find_admissible_interval(
-            spec, _value(fi["seed"], float, "profile.find_interval.seed"))
-    if family == "quadratic":
-        return profiles.make_profile(spec, (-abs(spec.phi0), abs(spec.phi0)))
+    # An interval on which Q is not admissible is bad input like any other.
+    try:
+        if "interval" in node:
+            return profiles.make_profile(spec, _value(
+                node["interval"], tuple[float, float], "profile.interval"))
+        if "find_interval" in node:
+            fi = node["find_interval"]
+            _require_keys(fi, {"seed"}, {"seed"}, "profile.find_interval")
+            return profiles.find_admissible_interval(
+                spec, _value(fi["seed"], float, "profile.find_interval.seed"))
+        if family == "quadratic":
+            return profiles.make_profile(spec,
+                                         (-abs(spec.phi0), abs(spec.phi0)))
+    except ConfigError:
+        raise
+    except SkrpError as exc:
+        raise ConfigError(f"profile: {exc}") from None
     raise ConfigError("profile: needs 'interval' or 'find_interval'")
 
 
@@ -164,6 +171,7 @@ def _context(config: dict, seed: Optional[int] = None
     of a ``verify``, ``build`` or ``classify`` config."""
     _require_keys(config, {"seed", "fd", "profile", "model", "checks", "out"},
                   {"model"}, "config")
+    _value(config.get("out", ""), str, "config.out")
     own = _value(config.get("seed", 0), int, "config.seed")
     fd = parse_fd(config.get("fd"))
     profile = parse_profile(config["profile"]) if "profile" in config else None
@@ -490,9 +498,12 @@ def _axis_values(node, where: str) -> list:
     if isinstance(node, dict):
         _require_keys(node, {"start", "stop", "num"},
                       {"start", "stop", "num"}, where)
+        num = _value(node["num"], int, f"{where}.num")
+        if num < 0:
+            raise ConfigError(f"{where}.num: expected a non-negative int, "
+                              f"got {num}")
         return list(np.linspace(_value(node["start"], float, where),
-                                _value(node["stop"], float, where),
-                                _value(node["num"], int, where)))
+                                _value(node["stop"], float, where), num))
     return [_value(v, float, where)
             for v in (node if isinstance(node, list) else [node])]
 
@@ -505,6 +516,7 @@ def run_sweep(config: dict) -> str:
     admissible intervals and boundary flags.
     """
     _require_keys(config, {"sweep", "out"}, {"sweep"}, "config")
+    _value(config.get("out", ""), str, "config.out")
     node = config["sweep"]
     kind = _kind(node, "kind", SWEEP_AXES, "sweep")
     axes = SWEEP_AXES[kind]

@@ -16,8 +16,6 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
 
 from .errors import (
     BadParams,
@@ -31,6 +29,7 @@ from .errors import (
     SolutionNonPositive,
     WrongFamily,
 )
+from .spline import cubic_spline
 
 # Default search box and grid for root bracketing.  The closed-form families
 # are low-degree polynomials or rationals, so a wide fixed box is cheap.
@@ -119,7 +118,8 @@ class Polynomial:
 
 @dataclass(frozen=True)
 class Custom:
-    """Q interpolated through sample pairs (phi_i, Q_i) by a natural cubic spline."""
+    """Q interpolated through sample pairs (phi_i, Q_i) by a not-a-knot cubic
+    spline."""
 
     phi: tuple
     q: tuple
@@ -275,15 +275,9 @@ def _custom_evaluators(spec: Custom) -> _Evaluators:
     q = np.asarray(spec.q, dtype=float)
     if phi[0] > phi[-1]:
         phi, q = phi[::-1], q[::-1]
-    spline = CubicSpline(phi, q, bc_type="not-a-knot")
-    d1 = spline.derivative(1)
-    d2 = spline.derivative(2)
-    return _Evaluators(
-        lambda p: spline(np.asarray(p, dtype=float)),
-        lambda p: d1(np.asarray(p, dtype=float)),
-        lambda p: d2(np.asarray(p, dtype=float)),
-        domain=(float(phi[0]), float(phi[-1])),
-    )
+    spline = cubic_spline(phi, q)
+    return _Evaluators(spline, spline.derivative(1), spline.derivative(2),
+                       domain=(float(phi[0]), float(phi[-1])))
 
 
 def family_evaluators(spec: ProfileSpec) -> _Evaluators:
@@ -623,11 +617,20 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
                     rng: tuple[float, float]) -> Profile:
     """Solve the first-order linear soliton ODE for Q through an anchor.
 
-        p Q' - Q + (m-1) p Q / (phi - c) = eps p kappa - 2 s0 (phi - c)
+        p Q' - Q + (m-1) p Q / u = eps p kappa - 2 s0 u,   u = phi - c
 
-    The solution is integrated by an adaptive Runge-Kutta scheme and returned
-    as a Custom profile over the sub-range of ``rng`` where Q > 0; if Q hits
-    zero inside the range, the range is truncated and the profile is marked
+    The equation is linear.  With the integrating factor u^(m-1) e^(-u/p),
+    Q is evaluated in closed form on a grid of nodes:
+
+        Q(u) = [(u_a^(m-1) Q_a + S(u_a)) e^((u - u_a)/p) - S(u)] / u^(m-1),
+
+    where -S(u) e^(-u/p) is an antiderivative of the integrating factor
+    times the right-hand side over p, e^(-u/p) (eps kappa u^(m-1)
+    - (2 s0/p) u^m), that is
+    S(u) = sum_k w_k sum_{j<=k} k!/(k-j)! p^(j+1) u^(k-j) over
+    (k, w_k) = (m-1, eps kappa) and (m, -2 s0/p).  Q is returned as a Custom
+    profile over the sub-range of ``rng`` where Q > 0; if Q hits zero inside
+    the range, the range is truncated and the profile is marked
     ``truncated``.
     """
     if m < 2:
@@ -647,32 +650,26 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
     if q_a <= 0:
         raise BadParams(f"anchor value Q = {q_a} must be positive")
 
-    def rhs(phi, q):
-        return (q * (1.0 / p - (m - 1) / (phi - c))
-                + eps * kappa - (2.0 * s0 / p) * (phi - c))
-
     n_nodes = 4097
     nodes = np.linspace(lo, hi, n_nodes)
-    values = np.empty(n_nodes)
     i_a = int(np.argmin(np.abs(nodes - phi_a)))
     nodes[i_a] = phi_a  # snap so the anchor is a grid node (shift < spacing/2)
-    for side_nodes, out_slice in (
-            (nodes[i_a::-1], slice(i_a, None, -1)),
-            (nodes[i_a:], slice(i_a, None))):
-        if len(side_nodes) == 1:
-            values[out_slice] = [q_a]
-            continue
-        sol = solve_ivp(rhs, (phi_a, side_nodes[-1]), [q_a],
-                        t_eval=side_nodes, method="DOP853",
-                        rtol=1e-12, atol=1e-14 * max(1.0, q_a),
-                        first_step=min(1e-3, abs(side_nodes[-1] - phi_a) / 10))
-        if not sol.success:
-            raise SolutionNonPositive(f"ODE integration failed: {sol.message}")
-        values[out_slice] = sol.y[0]
+    s_coeffs = np.zeros(m + 1)     # S(u), ascending powers of u
+    for k, w in ((m - 1, eps * kappa), (m, -2.0 * s0 / p)):
+        for j in range(k + 1):
+            s_coeffs[k - j] += (w * math.factorial(k) / math.factorial(k - j)
+                                * p ** (j + 1))
+    u, u_a = nodes - c, phi_a - c
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = ((u_a ** (m - 1) * q_a + npoly.polyval(u_a, s_coeffs))
+                  * np.exp((u - u_a) / p)
+                  - npoly.polyval(u, s_coeffs)) / u ** (m - 1)
+    values[i_a] = q_a
+    if not np.all(np.isfinite(values)):
+        raise SolutionNonPositive("Q overflows on the range: |range / p| "
+                                  "is too large")
 
     positive = values > 0.0
-    if not positive[i_a]:
-        raise SolutionNonPositive("Q <= 0 at the anchor after integration")
     j_lo = i_a
     while j_lo > 0 and positive[j_lo - 1]:
         j_lo -= 1

@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline, PPoly
 
 from .errors import (
     AnchorOutOfRange,
@@ -33,6 +31,7 @@ from .errors import (
     WrongEndpoint,
 )
 from .profiles import Profile
+from .spline import PiecewisePoly, cubic_spline
 
 R_SENTINEL = 1.0e12
 N_TABLE = 1024
@@ -70,7 +69,7 @@ class _LogRadius:
         j = np.arange(N_SMOOTH + 1)
         x = lo + 0.5 * length * (1.0 - np.cos(np.pi * j / N_SMOOTH))
         y = self._remainder(x)
-        self._R = CubicSpline(x, y).antiderivative()
+        self._R = cubic_spline(x, y).antiderivative()
         self.const = 0.0
 
     def _root_series(self, phi0: float, inward: float):
@@ -135,7 +134,7 @@ class _LogRadius:
         out.a, out.const = -self.a, -self.const
         out.p_lo, out.p_hi = -self.p_lo, -self.p_hi
         out._series = {e: (-c0, -c1) for e, (c0, c1) in self._series.items()}
-        out._R = PPoly(-self._R.c, self._R.x, extrapolate=self._R.extrapolate)
+        out._R = -self._R
         return out
 
 
@@ -170,7 +169,7 @@ class _Arclength:
             integrand[0] = 0.0
         else:
             integrand[0] = 2.0 / math.sqrt(abs(float(slope)))
-        cum = CubicSpline(w, integrand).antiderivative()
+        cum = cubic_spline(w, integrand).antiderivative()
         return cum, float(cum(w_max))
 
     def from_lo(self, phi):
@@ -258,7 +257,7 @@ class ReparamTable:
         return float(phi[0]) if scalar else phi
 
     def dense_phi_of_logr(self, logr_lo: float, logr_hi: float,
-                          n: int = 8192) -> CubicSpline:
+                          n: int = 8192) -> PiecewisePoly:
         """Smooth dense interpolant phi(log r) over a log-radius window.
 
         Nodes are uniform in log r; each is polished by vectorized Newton
@@ -289,7 +288,7 @@ class ReparamTable:
             phi = new
             if done:
                 break
-        return CubicSpline(targets, phi)
+        return cubic_spline(targets, phi)
 
     # -- arclength, built on first use --------------------------------------
 
@@ -386,6 +385,9 @@ def critical_distance(profile: Profile) -> float:
     midpoint and each half is regularized by w = sqrt(|phi - endpoint|)
     before adaptive quadrature.
     """
+    # Importing SciPy costs most of a short run, so only this check does.
+    from scipy.integrate import quad
+
     lo, hi = profile.interval
     for which, end in ((0, lo), (1, hi)):
         slope = profile.endpoint_slopes[which]

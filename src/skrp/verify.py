@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
 from .errors import (CriticalPoint, MissingMeta, PhiNearZero,
                      StencilOutOfDomain)
@@ -473,9 +472,17 @@ def _unit_circle_crossing(path: GeodesicPath) -> float:
     r = np.linalg.norm(path.x[0], axis=1)
     k = int(np.argmax(r >= 1.0))
     seg = slice(k - 1, k + 1)
-    drds = np.einsum("si,si->s", path.x[0, seg], path.v[0, seg]) / r[seg]
-    return float(CubicHermiteSpline(path.s[seg], r[seg], drds).solve(
-        1.0, extrapolate=False)[0])
+    s0, h = path.s[k - 1], path.s[k] - path.s[k - 1]
+    (r0, r1), (m0, m1) = r[seg], h * np.einsum(
+        "si,si->s", path.x[0, seg], path.v[0, seg]) / r[seg]
+    # r(s0 + u h) - 1 in the Hermite basis of u in [0, 1], highest power
+    # first; m0 and m1 are dr/du at the ends.
+    roots = np.roots([2 * (r0 - r1) + m0 + m1, 3 * (r1 - r0) - 2 * m0 - m1,
+                      m0, r0 - 1.0])
+    # r0 < 1 <= r1 puts a real root in (0, 1]; the slack keeps one that
+    # rounding moved just past u = 1.
+    real = roots.real[roots.imag == 0]
+    return float(s0 + h * real[(real > 0) & (real <= 1 + 1e-9)].min())
 
 
 def shell_normal_geodesics(chart: ChartMetric, fd: FDConfig, n_fan: int = 16,

@@ -6,7 +6,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -82,6 +85,16 @@ BAD_INPUTS = {
     "p_on_kahler": ("verify", patched(SPHERE_CONFIG, "checks.0.p", 0.5)),
     "gauss_tolerance": ("verify", patched(SHELL_CONFIG,
                                           "checks.0.gauss_tolerance", 1e-4)),
+    "out_not_string": ("verify", patched(SHELL_CONFIG, "out", 7)),
+    "sweep_num_negative": ("sweep", {"sweep": {
+        "kind": "slope_poly", "k": {"start": 2, "stop": 3, "num": -1}}}),
+    "interval_degenerate": ("verify", patched(
+        SHELL_CONFIG, "profile.interval", [1.0, -1.0])),
+    "interval_not_positive": ("verify", patched(
+        SHELL_CONFIG, "profile.interval", [0.5, 1.5])),
+    "find_interval_no_root": ("verify", patched(SHELL_CONFIG, "profile", {
+        "family": "polynomial", "coeffs": [1.0, 0.0, 1.0],
+        "find_interval": {"seed": 0.0}})),
 }
 
 
@@ -390,6 +403,23 @@ class TestMainEntry:
         assert checks and all(" pass=true" in ln for ln in checks)
         if name == "sphere_k4":
             assert len(report_rows(text)["distance_geodesic"]) == 1
+
+    def test_no_scipy_on_the_verify_path(self):
+        # Importing scipy costs most of a shipped run; only the distance
+        # check's quadrature may load it, on first use.
+        script = ("import json, sys\n"
+                  "import skrp, skrp.cli\n"
+                  "with open(sys.argv[1]) as fh:\n"
+                  "    code, _ = skrp.cli.run_config(json.load(fh))\n"
+                  "assert code == 0, code\n"
+                  "print(sorted(m for m in sys.modules if 'scipy' in m))\n")
+        src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+        out = subprocess.run(
+            [sys.executable, "-c", script,
+             str(CONFIGS / "shell_quadratic.json")],
+            capture_output=True, text=True, timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=src))
+        assert out.stdout.strip() == "[]", out.stdout
 
     def test_classify_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -1,5 +1,6 @@
 """Profile families, admissible intervals, boundary reports, classification."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -237,6 +238,56 @@ class TestSoliton:
         prof = pf.soliton_profile(m=2, p=1.0, s0=0.0, kappa=0.0, eps=1,
                                   c=0.0, anchor=(1.0, 1.0), rng=(0.5, 1.8))
         assert float(prof.dq(1.0)) == pytest.approx(0.0, abs=1e-7)
+
+    # eps = +1 needs phi > c on the range, eps = -1 needs phi < c.
+    SIDES = {1: dict(c=0.0, rng=(0.4, 2.2), anchor=(1.0, 0.5)),
+             -1: dict(c=1.0, rng=(-1.5, 0.5), anchor=(0.0, 0.8))}
+
+    @staticmethod
+    def reference(m, p, s0, kappa, eps, c, anchor, phis):
+        """Q at phis to 40 digits: the integrating-factor solution
+        Q = [mu(u_a) Q_a + int_{u_a}^u mu(v) (eps kappa - 2 s0 v / p) dv]
+        / mu(u), mu(u) = u^(m-1) e^(-u/p), u = phi - c, with the integral
+        by mpmath quadrature."""
+        with mpmath.workdps(40):
+            p, s0, kappa, c = (mpmath.mpf(v) for v in (p, s0, kappa, c))
+            u_a, q_a = mpmath.mpf(anchor[0]) - c, mpmath.mpf(anchor[1])
+
+            def mu(u):
+                return u ** (m - 1) * mpmath.exp(-u / p)
+
+            def rhs(v):
+                return mu(v) * (eps * kappa - 2 * s0 * v / p)
+
+            return np.array([float(
+                (mu(u_a) * q_a + mpmath.quad(rhs, [u_a, mpmath.mpf(x) - c]))
+                / mu(mpmath.mpf(x) - c)) for x in phis])
+
+    @staticmethod
+    def nodes(prof, count=5):
+        phi, q = np.array(prof.spec.phi), np.array(prof.spec.q)
+        idx = np.linspace(0, len(phi) - 1, count).astype(int)
+        return phi[idx], q[idx], np.max(np.abs(q))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [1, -1])
+    @pytest.mark.parametrize("p", [0.5, -0.5])
+    def test_closed_form_against_mpmath(self, m, eps, p):
+        side = self.SIDES[eps]
+        prof = pf.soliton_profile(m=m, p=p, s0=0.3, kappa=4.0, eps=eps,
+                                  **side)
+        phi, q, scale = self.nodes(prof)
+        want = self.reference(m, p, 0.3, 4.0, eps, side["c"],
+                              side["anchor"], phi)
+        assert np.max(np.abs(q - want)) <= 1e-13 * scale
+        # Negative control: the closed form with m in place of m - 1 (the
+        # profile of m + 1) misses the same bound.
+        wrong = pf.soliton_profile(m=m + 1, p=p, s0=0.3, kappa=4.0,
+                                   eps=eps, **side)
+        phi, q, scale = self.nodes(wrong)
+        want = self.reference(m, p, 0.3, 4.0, eps, side["c"],
+                              side["anchor"], phi)
+        assert np.max(np.abs(q - want)) > 1e-13 * scale
 
     def test_range_contains_c(self):
         with pytest.raises(pf.RangeContainsC):

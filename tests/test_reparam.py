@@ -14,29 +14,7 @@ from skrp.errors import (
     TableRangeExceeded,
     WrongEndpoint,
 )
-
-
-FAMILIES = ("quadratic", "type_a", "type_b", "type_c", "polynomial", "custom")
-
-
-def family_profile(family):
-    """One profile of each family, on an interval with a simple root at
-    each end where the family has one."""
-    return {
-        "quadratic": lambda: pf.make_profile(
-            pf.Quadratic(K=2.0, phi0=0.7), (-0.7, 0.7)),
-        "type_a": lambda: pf.find_admissible_interval(
-            pf.TypeA(m=3, K=1.5, alpha=0.0, eta=-2.0), 0.0),
-        "type_b": lambda: pf.find_admissible_interval(
-            pf.TypeB(m=3, K=0.0, alpha=-1.0, eta=-1.0), 0.0),
-        "type_c": lambda: pf.make_profile(
-            pf.TypeC(m=2, c=1.0, A=2.0, B=-0.3, C=0.05), (1.35, 2.55)),
-        "polynomial": lambda: pf.make_profile(
-            pf.Polynomial(coeffs=(1.0, 0.2, 0.3)), (-0.8, 0.9)),
-        "custom": lambda: pf.soliton_profile(
-            m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0,
-            anchor=(1.0, 0.5), rng=(0.4, 2.2)),
-    }[family]()
+from conftest import FAMILIES, family_profile
 
 
 @pytest.fixture(scope="module")

@@ -28,12 +28,45 @@ def parity_cases():
         profiles.TypeC(m=2, c=1.0, A=2.0, B=-0.4, C=0.1), (1.35, 2.55))
     cases.append(("type_c", models.build_shell(models.ShellSpec(
         m=2, profile=type_c, a=1.0, eps=1, c=1.0, phi_window=(1.5, 2.4)))))
-    soliton = profiles.soliton_profile(m=2, p=0.5, s0=0.3, kappa=4.0, eps=1,
-                                       c=0.0, anchor=(1.0, 0.5),
-                                       rng=(0.4, 2.2))
     cases.append(("soliton", models.build_shell(models.ShellSpec(
-        m=2, profile=soliton, a=1.0, eps=1, c=0.0))))
+        m=2, profile=_dop853_soliton(), a=1.0, eps=1, c=0.0))))
     return cases
+
+
+def _dop853_soliton():
+    """The soliton profile of the parity chart on the node values the
+    reference file was recorded from: an adaptive DOP853 solution of the
+    soliton ODE, integrated from the anchor to each end of the range.
+
+    ``soliton_profile`` evaluates the closed-form solution instead.  That
+    moves the node values by about 1e-12, the chart's sample points by
+    about 1e-13 and ``dg`` to just over its parity bound, so the reference
+    tensors would measure the profile change, not the stencil engine.
+    """
+    from scipy.integrate import solve_ivp
+    m, p, s0, kappa, eps, c = 2, 0.5, 0.3, 4.0, 1, 0.0
+    phi_a, q_a = 1.0, 0.5
+    exact = profiles.soliton_profile(m=m, p=p, s0=s0, kappa=kappa, eps=eps,
+                                     c=c, anchor=(phi_a, q_a), rng=(0.4, 2.2))
+
+    def rhs(phi, q):
+        return (q * (1.0 / p - (m - 1) / (phi - c))
+                + eps * kappa - (2.0 * s0 / p) * (phi - c))
+
+    nodes = np.linspace(0.4, 2.2, 4097)
+    i_a = int(np.argmin(np.abs(nodes - phi_a)))
+    nodes[i_a] = phi_a
+    values = np.empty_like(nodes)
+    for side, out in ((nodes[i_a::-1], slice(i_a, None, -1)),
+                      (nodes[i_a:], slice(i_a, None))):
+        values[out] = solve_ivp(
+            rhs, (phi_a, side[-1]), [q_a], t_eval=side, method="DOP853",
+            rtol=1e-12, atol=1e-14 * max(1.0, q_a),
+            first_step=min(1e-3, abs(side[-1] - phi_a) / 10)).y[0]
+    # The same truncated node range as the closed-form profile.
+    keep = (nodes >= exact.phi_min) & (nodes <= exact.phi_max)
+    spec = profiles.Custom(phi=tuple(nodes[keep]), q=tuple(values[keep]))
+    return profiles.make_profile(spec, exact.interval)
 
 
 def parity_points(chart, k):
