@@ -669,19 +669,13 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
         raise SolutionNonPositive("Q overflows on the range: |range / p| "
                                   "is too large")
 
-    positive = values > 0.0
-    j_lo = i_a
-    while j_lo > 0 and positive[j_lo - 1]:
-        j_lo -= 1
-    j_hi = i_a
-    while j_hi < n_nodes - 1 and positive[j_hi + 1]:
-        j_hi += 1
-    truncated = (j_lo > 0) or (j_hi < n_nodes - 1)
-    # Leave one node of margin at a truncated end so the spline stays positive.
-    if j_lo > 0:
-        j_lo += 1
-    if j_hi < n_nodes - 1:
-        j_hi -= 1
+    # The positive run of nodes around the anchor, less one node of margin
+    # at a truncated end so the spline stays positive.
+    nonpositive = np.flatnonzero(values <= 0.0)
+    k = int(np.searchsorted(nonpositive, i_a))
+    j_lo = int(nonpositive[k - 1]) + 2 if k > 0 else 0
+    j_hi = int(nonpositive[k]) - 2 if k < len(nonpositive) else n_nodes - 1
+    truncated = len(nonpositive) > 0
     if j_hi - j_lo < 8:
         raise SolutionNonPositive("positive sub-range too short for a profile")
     spec = Custom(phi=tuple(nodes[j_lo:j_hi + 1]),

@@ -289,6 +289,36 @@ class TestSoliton:
                               side["anchor"], phi)
         assert np.max(np.abs(q - want)) > 1e-13 * scale
 
+    @pytest.mark.parametrize("kw,ends", [
+        # The benchmark's soliton: Q reaches zero below the anchor.
+        (dict(m=2, p=0.5, s0=0.3, kappa=4.0, eps=1, c=0.0,
+              anchor=(1.0, 0.5), rng=(0.4, 2.2)), (True, False)),
+        # kappa < 0: Q reaches zero above the anchor.
+        (dict(m=2, p=0.5, s0=0.0, kappa=-4.0, eps=1, c=0.0,
+              anchor=(1.0, 0.5), rng=(0.4, 2.2)), (False, True)),
+        (dict(m=2, p=1.0, s0=0.0, kappa=0.0, eps=1, c=0.0,
+              anchor=(1.0, 1.0), rng=(0.5, 1.8)), (False, False)),
+    ])
+    def test_range_is_the_positive_run_at_the_anchor(self, kw, ends):
+        prof = pf.soliton_profile(**kw)
+        phi, q = np.array(prof.spec.phi), np.array(prof.spec.q)
+        grid = np.linspace(*kw["rng"], 4097)
+        grid[np.argmin(np.abs(grid - kw["anchor"][0]))] = kw["anchor"][0]
+        j_lo, j_hi = np.searchsorted(grid, [phi[0], phi[-1]])
+        assert np.array_equal(phi, grid[j_lo:j_hi + 1])
+        assert (j_lo > 0, j_hi < len(grid) - 1) == ends
+        assert prof.truncated == any(ends)
+        assert prof.interval == (phi[0], phi[-1])
+        assert np.all(q > 0.0)
+        # A truncated end keeps one node of margin: Q is still positive one
+        # node out and not positive two nodes out.
+        for j, out in ((j_lo, -1), (j_hi, 1)):
+            if 0 < j < len(grid) - 1:
+                margin = self.reference(
+                    kw["m"], kw["p"], kw["s0"], kw["kappa"], kw["eps"],
+                    kw["c"], kw["anchor"], grid[[j + out, j + 2 * out]])
+                assert margin[0] > 0.0 >= margin[1]
+
     def test_range_contains_c(self):
         with pytest.raises(pf.RangeContainsC):
             pf.soliton_profile(m=2, p=1.0, s0=0.0, kappa=0.0, eps=1, c=1.0,

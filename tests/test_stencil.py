@@ -1,6 +1,7 @@
 """The batched stencil operator: exactness of its weights, batch and chunk
 invariance, domain errors, and parity with reference tensors."""
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -124,6 +125,34 @@ def test_weights_exact_on_quartics(n, richardson):
     assert np.max(np.abs(first - d1)) < 1e-9 * (1.0 + np.max(np.abs(d1)))
 
 
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_cloud_sizes(n):
+    # Center, the axis lines and two diagonal lines per coordinate plane;
+    # with Richardson each line holds the points of both steps, +-h/2,
+    # +-h and +-2h.
+    pairs = math.comb(n, 2)
+    assert len(tensor.stencil(n, True, True).codes) == 1 + 6 * n + 12 * pairs
+    assert len(tensor.stencil(n, False, True).codes) == 1 + 4 * n + 8 * pairs
+
+
+def _row_weights(op, row):
+    """offset code -> weight of the nonzero taps of one row of W."""
+    return {tuple(code): w for code, w in zip(op.codes.tolist(), op.W[row])
+            if w != 0.0}
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_operator_rows(n, richardson):
+    op = tensor.stencil(n, richardson, True)
+    assert np.all(np.abs(op.W.sum(axis=1))
+                  <= 1e-15 * np.abs(op.W).sum(axis=1))
+    # The first-partial rows are those of the first-order operator.
+    first = tensor.stencil(n, richardson, False)
+    for i in range(n):
+        assert _row_weights(op, i) == _row_weights(first, i)
+
+
 def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
@@ -195,5 +224,7 @@ def test_parity_with_reference(k, case, fd):
            "hess_phi": pot.hess_phi, "Y": pot.Y}
     for quantity, value in got.items():
         want = ref[f"{label}/{quantity}"]
-        assert np.max(np.abs(compact(quantity, value) - want)) \
-            <= PARITY_TOL[quantity] * np.max(np.abs(want)), quantity
+        deviation = np.max(np.abs(compact(quantity, value) - want))
+        bound = PARITY_TOL[quantity] * np.max(np.abs(want))
+        assert deviation <= bound, (f"{quantity} on {label}: deviation / "
+                                    f"bound = {deviation / bound:.3g}")

@@ -133,6 +133,29 @@ class TestCurvature:
             errs.append(np.max(np.abs(curv.ricci - K * g)))
         assert errs[0] / errs[1] >= 8.0
 
+    def test_fd_convergence_order_mixed(self):
+        # The product H^2 x S^2 (n = 4): Ric = -K g on the base block and
+        # +K g on the fibre block, and phi = t z is a height function of the
+        # fibre, so Hess phi = -K phi g there and 0 on the base.  Its metric
+        # is diagonal with each block depending on its own coordinates only,
+        # so Ric takes no mixed partial; the mixed rows show in Hess phi,
+        # whose (2, 3) entry is d2 phi/dw1 dw2 at a point with w1, w2 != 0.
+        K = 1.0
+        ch = models.build_product(models.ProductSpec(K=K, t=1.0))
+        x = np.array([[0.3, -0.2, 0.5, 0.25]])
+        g = np.asarray(ch.g(x))[0]
+        ric_exact = np.array([-K, -K, K, K])[:, None] * g
+        hess_exact = np.diag([0.0, 0.0, 1.0, 1.0]) @ g * (-K * ch.phi(x)[0])
+        ric_errs, hess_errs = [], []
+        for h in (0.04, 0.02):
+            fd = tensor.FDConfig(h=h, richardson=False)
+            curv = tensor.curvature(ch, x, fd)
+            pot = tensor.potential_derivatives(ch, x, fd, jet=curv.jet)
+            ric_errs.append(np.max(np.abs(curv.ricci[0] - ric_exact)))
+            hess_errs.append(np.max(np.abs(pot.hess_phi[0] - hess_exact)))
+        assert ric_errs[0] / ric_errs[1] >= 8.0
+        assert hess_errs[0] / hess_errs[1] >= 8.0
+
 
 class TestPotential:
     def test_norm_squared(self, fd):
