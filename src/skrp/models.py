@@ -17,9 +17,11 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import SpecInvariantViolated, TableRangeExceeded, WrongEndpoint
+from .errors import (SkrpError, SpecInvariantViolated, TableRangeExceeded,
+                     WrongEndpoint)
 from .profiles import Profile, Quadratic, make_profile
-from .reparam import ReparamTable, build_reparam, _neville_at_zero
+from .reparam import (ReparamTable, _d3q_one_sided, _neville_at_zero,
+                      _probe_radius, _require_ball_endpoint, build_reparam)
 from .tensor import ChartMetric, FDConfig, partials
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -296,81 +298,64 @@ def ball_extension_coeffs(profile: Profile, a: float, c: float, r: float,
     Requires Q(c) = 0 and dQ/dphi = 2a at phi = c.  At r = 0 the values are
     Richardson limits over a shrinking radius ladder.
     """
-    _require_ball_endpoint(profile, a, c)
-    if table is None:
-        table = build_reparam(profile, a)
-    if r < 0:
-        raise WrongEndpoint("radius must be nonnegative")
-    if r == 0.0:
-        lo, hi = profile.interval
-        probe_phi = c + (0.02 if c == lo else -0.02) * (hi - lo)
-        r0 = float(table.r_of_phi(probe_phi))
-        ladder = [r0, r0 / 2.0, r0 / 4.0]
-        vals = [_ball_coeffs_at(profile, a, c, rr, table) for rr in ladder]
-        xi = np.array([rr * rr for rr in ladder])
-        c1 = _neville_at_zero(xi, np.array([v[0] for v in vals]))
-        c2 = _neville_at_zero(xi, np.array([v[1] for v in vals]))
-        return float(c1), float(c2)
-    return _ball_coeffs_at(profile, a, c, r, table)
+    c1, c2 = _ball_coeffs(profile, a, c, np.array([float(r)]), table)
+    return float(c1[0]), float(c2[0])
 
 
-def _require_ball_endpoint(profile: Profile, a: float, c: float):
-    lo, hi = profile.interval
-    which = None
-    if abs(c - lo) <= 1e-9 * max(1.0, abs(lo)):
-        which = 0
-    elif abs(c - hi) <= 1e-9 * max(1.0, abs(hi)):
-        which = 1
-    if which is None:
-        raise WrongEndpoint(f"c = {c} is not an endpoint of {profile.interval}")
-    slope = profile.endpoint_slopes[which]
-    if slope is None:
-        raise WrongEndpoint(f"Q does not vanish at phi = {c}")
-    if abs(slope - 2.0 * a) > 1e-6 * max(abs(2.0 * a), 1e-300):
-        raise WrongEndpoint(
-            f"dQ/dphi = {slope} at phi = {c} does not equal 2a = {2 * a}")
-
-
-def _ball_coeffs_at(profile: Profile, a: float, c: float, r: float,
-                    table: ReparamTable) -> tuple[float, float]:
-    """Stable grouping of the extension coefficients at one radius.
+def _ball_coeffs(profile: Profile, a: float, c: float, r: np.ndarray,
+                 table: Optional[ReparamTable]) -> np.ndarray:
+    """The extension coefficients (c1, c2) as rows of a (2, len(r)) array at
+    radii r >= 0.  phi(r) at all of them, and at the ladder r0, r0/2, r0/4
+    behind the r = 0 limit, comes from one solve.
 
     Near the root the quotient [Q - 2a(phi-c)]/xi^2 cancels catastrophically
-    in its raw form; expanding Q about phi = c turns it into
+    in its raw form; for xi < 1e-3, expanding Q about phi = c turns it into
     w^2 [Q''(c)/2 + Q'''(c) w xi / 6 + O(xi^2)] with w = (phi-c)/xi, which
     is well conditioned.
     """
-    xi = r * r
-    phi = float(table.phi_of_r(r))
+    which = _require_ball_endpoint(profile, a, c)
+    if table is None:
+        table = build_reparam(profile, a)
+    if np.any(r < 0):
+        raise WrongEndpoint("radius must be nonnegative")
+    zero = r == 0.0
+    ladder = (_probe_radius(table, which) / np.array([1.0, 2.0, 4.0])
+              if np.any(zero) else np.empty(0))
+    radii = np.concatenate([r[~zero], ladder])
+    xi = radii * radii
+    phi = table.phi_of_r(radii)
     w = (phi - c) / xi
-    c2 = 2.0 * w / a
-    if xi < 1e-3:
-        lo, hi = profile.interval
-        inward = 1.0 if abs(c - lo) < abs(c - hi) else -1.0
-        q2 = float(profile.d2q(c))
-        h = inward * 1.0e-4 * (hi - lo)
-        q3 = (-3.0 * float(profile.d2q(c))
-              + 4.0 * float(profile.d2q(c + h))
-              - float(profile.d2q(c + 2 * h))) / (2.0 * h)
-        c1 = w * w * (0.5 * q2 + q3 * w * xi / 6.0) / a ** 4
-    else:
-        q = float(profile.q(phi))
-        g_defl = q / (phi - c)      # Q / (phi - c), finite at the root
-        c1 = w * (g_defl - 2.0 * a) / (a ** 4 * xi)
-    return float(c1), float(c2)
+    q2 = float(profile.d2q(c))
+    q3 = _d3q_one_sided(profile, c, 1.0 if which == 0 else -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_defl = np.asarray(profile.q(phi)) / (phi - c)  # Q / (phi - c)
+        raw = w * (g_defl - 2.0 * a) / (a ** 4 * xi)
+    coeffs = np.stack([
+        np.where(xi < 1e-3,
+                 w * w * (0.5 * q2 + q3 * w * xi / 6.0) / a ** 4, raw),
+        2.0 * w / a])
+    out = np.empty((2, len(r)))
+    k = len(radii) - len(ladder)
+    out[:, ~zero] = coeffs[:, :k]
+    if len(ladder):
+        out[:, zero] = [[_neville_at_zero(xi[k:], cf[k:])] for cf in coeffs]
+    return out
 
 
 def ball_metric(profile: Profile, a: float, c: float, x: np.ndarray,
                 table: Optional[ReparamTable] = None) -> np.ndarray:
-    """Reconstructed shell metric near r = 0 from the extension coefficients."""
+    """Reconstructed shell metric c1 (v v^T + u u^T) + c2 I, v = a x,
+    u = a Jx, at points x (B, n) near r = 0, from the extension
+    coefficients; r = 0 takes their limits."""
     x = np.asarray(x, dtype=float)
-    n = x.shape[0]
-    J = standard_J(n // 2)
-    r = float(np.linalg.norm(x))
-    c1, c2 = ball_extension_coeffs(profile, a, c, r, table)
+    if x.ndim != 2:
+        raise SkrpError(f"points must have shape (B, n), got {x.shape}")
+    n = x.shape[1]
+    c1, c2 = _ball_coeffs(profile, a, c, np.linalg.norm(x, axis=1), table)
     v = a * x
-    u = a * (J @ x)
-    return c1 * (np.outer(v, v) + np.outer(u, u)) + c2 * np.eye(n)
+    u = a * (x @ standard_J(n // 2).T)
+    vv = v[:, :, None] * v[:, None, :] + u[:, :, None] * u[:, None, :]
+    return c1[:, None, None] * vv + c2[:, None, None] * np.eye(n)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,9 @@ so log r splits into exact logarithmic terms at simple roots of Q plus a
 smooth remainder integral.  Tables built here carry that split explicitly,
 which keeps r(phi) accurate arbitrarily close to the roots, where r tends to
 0 or infinity.  Arclength uses ds/dphi = sgn(a)/sqrt(Q), regularized at root
-endpoints by the substitution w = sqrt(phi - endpoint).
+endpoints by the substitution w = sqrt(phi - endpoint).  The inverse
+phi(r) and the dense interpolant phi(log r) come from one bracketed Newton
+solver on log r(phi).
 
 A table builds only what its callers read: the arclength splines are built
 on first use of ``s_of_phi``, ``s_nodes`` or ``L`` (no pointwise check reads
@@ -37,6 +39,8 @@ R_SENTINEL = 1.0e12
 N_TABLE = 1024
 N_SMOOTH = 2048
 ENDPOINT_CLIP = 1.0e-6
+# Knots of the dense interpolant phi(log r).
+DENSE_KNOTS = 8192
 
 
 class _LogRadius:
@@ -77,14 +81,10 @@ class _LogRadius:
 
         With Q = s d + q2 d^2/2 + q3 d^3/6 for d = phi - phi0,
         a/Q - p/d = -p q2/(2s) + p [(q2/(2s))^2 - q3/(6s)] d + O(d^2).
-        q3 is estimated by a one-sided difference of the exact d2q evaluator.
         """
         s = float(self.profile.dq(phi0))
         q2 = float(self.profile.d2q(phi0))
-        h = inward * 1.0e-4 * (self.hi - self.lo)
-        q3 = (-3.0 * float(self.profile.d2q(phi0))
-              + 4.0 * float(self.profile.d2q(phi0 + h))
-              - float(self.profile.d2q(phi0 + 2 * h))) / (2.0 * h)
+        q3 = _d3q_one_sided(self.profile, phi0, inward)
         p = self.a / s
         c0 = -p * q2 / (2.0 * s)
         c1 = p * ((q2 / (2.0 * s)) ** 2 - q3 / (6.0 * s))
@@ -215,80 +215,78 @@ class ReparamTable:
         return out
 
     def phi_of_r(self, r):
-        """Inverse map: safeguarded Newton-bisection on log r(phi), all radii
-        at once, with the exact derivative a/Q.
-
-        Each radius keeps a bracket on which log r(phi) - log r changes
-        sign; a Newton step that would leave it is replaced by bisection.
-        """
+        """Inverse map phi(r), all radii in one solve."""
         scalar = np.isscalar(r)
         r_arr = np.atleast_1d(np.asarray(r, dtype=float))
         if np.any(r_arr <= 0):
             raise TableRangeExceeded("r must be positive")
-        target = np.log(r_arr)
-        lo, hi = self.profile.interval
-        pad = 1e-13 * (hi - lo)
-        a_br, b_br = lo + pad, hi - pad
-        va, vb = float(self._logr.value(a_br)), float(self._logr.value(b_br))
-        outside = (target - va) * (target - vb) > 0
-        if np.any(outside):
-            raise TableRangeExceeded(
-                f"r = {r_arr[np.argmax(outside)]} outside the table range")
-        tol = 1e-15 * max(1.0, abs(hi), abs(lo))
-        # Bracket ends with f = log r(phi) - target of the sign at a_br (A)
-        # and at b_br (B); the start is the table's node interpolant.
-        sign_a = np.sign(va - target)
-        end_a = np.full_like(target, a_br)
-        end_b = np.full_like(target, b_br)
-        phi = np.interp(target, np.log(self.r_nodes), self.phi_nodes)
-        phi = np.clip(phi, a_br, b_br)
-        for _ in range(100):    # bisection alone needs fewer than 60
-            f = np.asarray(self._logr.value(phi)) - target
-            on_a = np.sign(f) == sign_a
-            end_a = np.where(on_a, phi, end_a)
-            end_b = np.where(on_a, end_b, phi)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                newton = phi - f / np.asarray(self._logr.derivative(phi))
-            done = np.abs(newton - phi) <= tol + 8.9e-16 * np.abs(phi)
-            inside = done | ((newton - end_a) * (newton - end_b) <= 0)
-            phi = np.where(inside, newton, 0.5 * (end_a + end_b))
-            if np.all(done):
-                break
+        phi = self._phi_of_logr(np.log(r_arr))
         return float(phi[0]) if scalar else phi
 
-    def dense_phi_of_logr(self, logr_lo: float, logr_hi: float,
-                          n: int = 8192) -> PiecewisePoly:
+    def dense_phi_of_logr(self, logr_lo: float, logr_hi: float
+                          ) -> PiecewisePoly:
         """Smooth dense interpolant phi(log r) over a log-radius window.
 
-        Nodes are uniform in log r; each is polished by vectorized Newton
-        iterations on log r(phi) (whose derivative a/Q is exact), so the
-        interpolant is accurate to near machine precision and safe to
-        finite-difference.  Four steps converge an ordinary window; a window
-        reaching near a root of Q, where log r ~ p log(phi - root), takes
-        more, until no node moves by more than 1e-14 of the interval length
-        (at most 50 steps).
+        The DENSE_KNOTS knots are uniform in log r and solved to near
+        machine precision, so the interpolant is safe to finite-difference.
+        The window must end at least 1e-12 of the interval length inside
+        the interval.
         """
         lo, hi = self.profile.interval
         pad = 1e-12 * (hi - lo)
-        # The table nodes and the padded interval ends, in increasing-r
-        # order, seed the Newton iterations.
-        ends = (lo + pad, hi - pad) if self.a > 0 else (hi - pad, lo + pad)
-        phi_seed = np.concatenate([ends[:1], self.phi_nodes, ends[1:]])
-        logr_seed = np.asarray(self._logr.value(phi_seed))
-        targets = np.linspace(logr_lo, logr_hi, n)
-        if targets[0] < logr_seed[0] or targets[-1] > logr_seed[-1]:
+        ends = np.sort(self._logr.value(np.array([lo + pad, hi - pad])))
+        if logr_lo < ends[0] or logr_hi > ends[1]:
             raise TableRangeExceeded("log r window outside the table range")
-        phi = np.interp(targets, logr_seed, phi_seed)
+        targets = np.linspace(logr_lo, logr_hi, DENSE_KNOTS)
+        return cubic_spline(targets, self._phi_of_logr(targets))
+
+    def _phi_of_logr(self, target: np.ndarray) -> np.ndarray:
+        """Solve log r(phi) = target by safeguarded Newton-bisection with
+        the exact derivative a/Q.
+
+        Each target keeps a bracket on which log r(phi) - target changes
+        sign; a Newton step that would leave it is replaced by bisection.
+        The start is the interpolant of the table nodes and the bracket
+        ends.  A target stops once its Newton step falls below 1e-14 of the
+        interval length (or the roundoff of phi), so its result does not
+        depend on the other targets of the call.
+        """
+        lo, hi = self.profile.interval
+        pad = 1e-13 * (hi - lo)
+        # The bracket ends in increasing-r order, like the nodes.
+        ends = np.array([lo + pad, hi - pad] if self.a > 0
+                        else [hi - pad, lo + pad])
+        v_ends = np.asarray(self._logr.value(ends))
+        outside = (target < v_ends[0]) | (target > v_ends[1])
+        if np.any(outside):
+            raise TableRangeExceeded(f"log r = {target[np.argmax(outside)]} "
+                                     "outside the table range")
+        # A converged Newton step hovers at the roundoff of the largest term
+        # of log r times Q/a; 1e-14 of the interval length stays above it.
         tol = 1e-14 * (hi - lo)
-        for step in range(50):
-            f = np.asarray(self._logr.value(phi)) - targets
-            df = np.asarray(self._logr.derivative(phi))
-            new = np.clip(phi - f / df, lo + pad, hi - pad)
-            done = step >= 3 and np.max(np.abs(new - phi)) <= tol
-            phi = new
-            if done:
+        phi = np.interp(
+            target, np.concatenate([v_ends[:1], np.log(self.r_nodes),
+                                    v_ends[1:]]),
+            np.concatenate([ends[:1], self.phi_nodes, ends[1:]]))
+        below = np.full_like(target, ends[0])   # log r(below) < target
+        above = np.full_like(target, ends[1])
+        active = np.ones(target.shape, dtype=bool)
+        for _ in range(100):    # bisection alone needs fewer than 60
+            f = np.asarray(self._logr.value(phi)) - target
+            neg = f < 0
+            below = np.where(neg, phi, below)
+            above = np.where(neg, above, phi)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                newton = phi - f / np.asarray(self._logr.derivative(phi))
+            done = np.abs(newton - phi) <= tol + 8.9e-16 * np.abs(phi)
+            inside = done | ((newton - below) * (newton - above) <= 0)
+            if not np.all(inside):
+                newton = np.where(inside, newton, 0.5 * (below + above))
+            phi = np.where(active, newton, phi)
+            active &= ~done
+            if not np.any(active):
                 break
-        return cubic_spline(targets, phi)
+        return phi
 
     # -- arclength, built on first use --------------------------------------
 
@@ -437,42 +435,68 @@ def boundary_limits(table: ReparamTable, endpoint: str) -> BoundaryLimits:
     """
     if endpoint not in ("lo", "hi"):
         raise BadParams("endpoint must be 'lo' or 'hi'")
-    which = 0 if endpoint == "lo" else 1
-    phi0 = table.profile.interval[which]
-    slope = table.profile.endpoint_slopes[which]
-    if slope is None:
-        raise WrongEndpoint(f"endpoint {phi0} is not a root of Q")
-    if abs(slope - 2.0 * table.a) > 1e-6 * max(abs(2.0 * table.a), 1e-300):
-        raise WrongEndpoint(
-            f"dQ/dphi = {slope} at {phi0} does not match 2a = {2 * table.a}")
+    profile = table.profile
+    which = _require_ball_endpoint(
+        profile, table.a, profile.interval[0 if endpoint == "lo" else 1])
 
     # Three smallest-r nodes: Richardson (Neville at xi = 0) for q0.
     idx = np.argsort(table.r_nodes)[:3]
     xi = table.r_nodes[idx] ** 2
-    y = np.asarray(table.profile.q(table.phi_nodes[idx])) / xi
+    y = np.asarray(profile.q(table.phi_nodes[idx])) / xi
     q0 = _neville_at_zero(xi, y)
 
-    # One-sided derivative diagnostics on a geometric ladder of xi steps.
-    lo, hi = table.profile.interval
-    probe_phi = phi0 + (0.02 if which == 0 else -0.02) * (hi - lo)
-    xi_b = float(table.r_of_phi(probe_phi)) ** 2
-
-    def phi_of_xi(x):
-        return float(table.phi_of_r(math.sqrt(x)))
-
-    def qr2_of_xi(x):
-        p = phi_of_xi(x)
-        return float(table.profile.q(p)) / x
-
-    d1_phi, r1_phi = _one_sided_d1(phi_of_xi, float(phi0), xi_b)
-    d1_q, r1_q = _one_sided_d1(qr2_of_xi, q0, xi_b)
-    d2_phi, r2_phi = _one_sided_d2(phi_of_xi, float(phi0), xi_b)
-    d2_q, r2_q = _one_sided_d2(qr2_of_xi, q0, xi_b)
+    # One-sided derivative diagnostics at steps h = xi_b / 2^j, j = 0..3,
+    # from samples at 2 xi_b and at each h, all solved in one call.
+    xi = _probe_radius(table, which) ** 2 * 2.0 ** -np.arange(-1.0, 4.0)
+    phi = table.phi_of_r(np.sqrt(xi))
+    qr2 = np.asarray(profile.q(phi)) / xi
+    d1_phi, r1_phi, d2_phi, r2_phi = _one_sided(
+        phi, float(profile.interval[which]), xi)
+    d1_q, r1_q, d2_q, r2_q = _one_sided(qr2, q0, xi)
     ratios = (r1_phi, r1_q, r2_phi, r2_q)
     passed = q0 > 0 and all(0.2 <= r <= 5.0 for r in ratios)
     return BoundaryLimits(q0=float(q0), dphi_dxi=d1_phi, d2phi_dxi2=d2_phi,
                           dqr2_dxi=d1_q, d2qr2_dxi2=d2_q, ratios=ratios,
                           passed=passed)
+
+
+def _require_ball_endpoint(profile: Profile, a: float, c: float) -> int:
+    """Index (0 = lo, 1 = hi) of the endpoint phi = c of the profile
+    interval, which must be a simple root of Q with dQ/dphi = 2a there
+    (to 1e-6 relative), so that r -> 0 at it."""
+    lo, hi = profile.interval
+    if abs(c - lo) <= 1e-9 * max(1.0, abs(lo)):
+        which = 0
+    elif abs(c - hi) <= 1e-9 * max(1.0, abs(hi)):
+        which = 1
+    else:
+        raise WrongEndpoint(
+            f"c = {c} is not an endpoint of {profile.interval}")
+    slope = profile.endpoint_slopes[which]
+    if slope is None:
+        raise WrongEndpoint(f"Q does not vanish at phi = {c}")
+    if abs(slope - 2.0 * a) > 1e-6 * max(abs(2.0 * a), 1e-300):
+        raise WrongEndpoint(
+            f"dQ/dphi = {slope} at phi = {c} does not equal 2a = {2 * a}")
+    return which
+
+
+def _probe_radius(table: ReparamTable, which: int) -> float:
+    """The radius 2% of the interval length in from endpoint ``which``
+    (0 = lo, 1 = hi): the largest step of the r = 0 limits."""
+    lo, hi = table.profile.interval
+    return float(table.r_of_phi(
+        (lo, hi)[which] + (0.02, -0.02)[which] * (hi - lo)))
+
+
+def _d3q_one_sided(profile: Profile, phi0: float, inward: float) -> float:
+    """Third derivative of Q at an endpoint phi0, by a one-sided difference
+    of the exact d2q evaluator with step 1e-4 of the interval length
+    toward ``inward`` (+1 or -1)."""
+    lo, hi = profile.interval
+    h = inward * 1.0e-4 * (hi - lo)
+    d2 = np.asarray(profile.d2q(phi0 + h * np.arange(3.0)), dtype=float)
+    return float((-3.0 * d2[0] + 4.0 * d2[1] - d2[2]) / (2.0 * h))
 
 
 def _neville_at_zero(x: np.ndarray, y: np.ndarray) -> float:
@@ -487,21 +511,14 @@ def _neville_at_zero(x: np.ndarray, y: np.ndarray) -> float:
     return float(p[0])
 
 
-def _one_sided_d1(f, f0: float, delta: float):
-    """First derivative at 0+ via (f(d) - f0)/d on a halving ladder."""
-    d = [(f(delta / 2 ** j) - f0) / (delta / 2 ** j) for j in range(4)]
-    extrap = _neville_at_zero(np.array([delta / 2 ** j for j in range(4)]),
-                              np.array(d))
-    c0, c1 = d[0] - d[1], d[1] - d[2]
-    ratio = abs(c0 / c1) if c1 != 0 else 1.0
-    return extrap, ratio
-
-
-def _one_sided_d2(f, f0: float, delta: float):
-    """Second derivative at 0+ via (f(2d) - 2f(d) + f0)/d^2, halving ladder."""
-    steps = [delta / 2 ** j for j in range(4)]
-    d = [(f(2 * h) - 2 * f(h) + f0) / h ** 2 for h in steps]
-    extrap = _neville_at_zero(np.array(steps), np.array(d))
-    c0, c1 = d[0] - d[1], d[1] - d[2]
-    ratio = abs(c0 / c1) if c1 != 0 else 1.0
-    return extrap, ratio
+def _one_sided(f: np.ndarray, f0: float, xi: np.ndarray):
+    """(d1, ratio1, d2, ratio2) at 0+ from samples f at xi = (2 h_0, h_0,
+    ..., h_3), h_j = h_0 / 2^j: the quotients (f(h) - f0)/h and
+    (f(2h) - 2 f(h) + f0)/h^2, each extrapolated to h = 0, with the ratio
+    of its first two successive differences."""
+    h = xi[1:]
+    out = []
+    for d in ((f[1:] - f0) / h, (f[:-1] - 2 * f[1:] + f0) / h ** 2):
+        c0, c1 = d[0] - d[1], d[1] - d[2]
+        out += [_neville_at_zero(h, d), abs(c0 / c1) if c1 != 0 else 1.0]
+    return out

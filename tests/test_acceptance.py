@@ -258,8 +258,8 @@ def test_criterion_11_ball_extension():
     c1_0, c2_0 = models.ball_extension_coeffs(prof, a, c, 0.0, table)
     c1_a, _ = models.ball_extension_coeffs(prof, a, c, 1e-3, table)
     c1_b, _ = models.ball_extension_coeffs(prof, a, c, 1e-4, table)
-    g0 = models.ball_metric(prof, a, c, np.array([1e-3, 0.0]), table)
-    eig = np.linalg.eigvalsh(g0)
+    g0 = models.ball_metric(prof, a, c, np.array([[1e-3, 0.0]]), table)
+    eig = np.linalg.eigvalsh(g0[0])
     finite = abs(c1_a - c1_b) <= 0.1 * max(abs(c1_a), abs(c1_b), 1e-12)
     ratios_ok = all(0.2 <= r <= 5.0 for r in bl.ratios)
     ok = (bl.q0 > 0 and ratios_ok and finite and np.all(eig > 0)

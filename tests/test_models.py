@@ -214,9 +214,25 @@ class TestBallExtension:
     def test_reconstructed_metric_positive(self, quadratic_profile):
         a, c = -1.0, 1.0
         table = reparam.build_reparam(quadratic_profile, a)
-        x = np.array([1e-3, 0.0])
+        x = np.array([[1e-3, 0.0]])
         g = models.ball_metric(quadratic_profile, a, c, x, table)
         assert np.all(np.linalg.eigvalsh(g) > 0)
+
+    def test_ball_metric_batch(self, quadratic_profile):
+        # Each row is c1 (v v^T + u u^T) + c2 I from the coefficients at
+        # its radius: the origin (the r = 0 limit), the series branch
+        # (r^2 < 1e-3) and the raw quotient.
+        a, c = -1.0, 1.0
+        table = reparam.build_reparam(quadratic_profile, a)
+        x = np.array([[0.0, 0.0], [1e-3, 0.0], [-0.01, 0.02], [0.1, 0.05]])
+        g = models.ball_metric(quadratic_profile, a, c, x, table)
+        J = models.standard_J(1)
+        for gi, xi in zip(g, x):
+            c1, c2 = models.ball_extension_coeffs(
+                quadratic_profile, a, c, float(np.linalg.norm(xi)), table)
+            v, u = a * xi, a * (J @ xi)
+            expect = c1 * (np.outer(v, v) + np.outer(u, u)) + c2 * np.eye(2)
+            assert np.allclose(gi, expect, rtol=1e-14, atol=0.0)
 
     def test_wrong_endpoint(self, quadratic_profile):
         with pytest.raises(WrongEndpoint):

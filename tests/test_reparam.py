@@ -160,8 +160,10 @@ class TestLeanTables:
         # The Newton step left at every knot of phi(log r), for windows
         # 10%, 1e-4, 1e-7 and 1e-9 of the interval in from its ends.  The
         # last two reach closer to a root of Q than the table's node clip
-        # (1e-6 of the interval), where log r ~ p log(phi - root) and four
-        # Newton steps from the end node are not enough.
+        # (1e-6 of the interval), where log r ~ p log(phi - root) and
+        # Newton steps from the end node alone are not enough; there
+        # phi_of_r at the knot radii, which shares the solver, is checked
+        # too.
         profile = family_profile(family)
         table = rp.build_reparam(profile, a=a)
         lo, hi = profile.interval
@@ -169,21 +171,25 @@ class TestLeanTables:
             window = sorted((float(table.log_r(lo + frac * (hi - lo))),
                              float(table.log_r(hi - frac * (hi - lo)))))
             spline = table.dense_phi_of_logr(*window)
-            phi = spline(spline.x)
-            step = (table.log_r(phi) - spline.x) / (
-                a / np.asarray(profile.q(phi)))
-            assert np.max(np.abs(step)) <= 1e-14 * (hi - lo)
+            solved = [(spline(spline.x), spline.x)]
+            if frac < 1e-6:
+                radii = np.exp(spline.x)
+                solved.append((table.phi_of_r(radii), np.log(radii)))
+            for phi, logr in solved:
+                step = (table.log_r(phi) - logr) / (
+                    a / np.asarray(profile.q(phi)))
+                assert np.max(np.abs(step)) <= 1e-14 * (hi - lo)
 
     def test_dense_window_range(self, quad_table):
         lo, hi = quad_table.profile.interval
         pad = 1e-12 * (hi - lo)
         ends = sorted((float(quad_table.log_r(lo + pad)),
                        float(quad_table.log_r(hi - pad))))
-        quad_table.dense_phi_of_logr(*ends, n=64)
+        quad_table.dense_phi_of_logr(*ends)
         with pytest.raises(TableRangeExceeded):
-            quad_table.dense_phi_of_logr(ends[0], ends[1] + 1e-6, n=64)
+            quad_table.dense_phi_of_logr(ends[0], ends[1] + 1e-6)
         with pytest.raises(TableRangeExceeded):
-            quad_table.dense_phi_of_logr(ends[0] - 1e-6, ends[1], n=64)
+            quad_table.dense_phi_of_logr(ends[0] - 1e-6, ends[1])
 
 
 class TestDistanceInvariant:
@@ -254,3 +260,29 @@ class TestBoundaryLimits:
     def test_wrong_endpoint(self, quad_table):
         with pytest.raises(WrongEndpoint):
             rp.boundary_limits(quad_table, "lo")   # slope there is -2a
+
+    def test_one_solve_per_limit(self, quad_table, monkeypatch):
+        # Each r = 0 limit solves its whole radius ladder in one phi_of_r
+        # call, and reads the values the one-radius-per-call code gave.
+        calls = []
+        solve = rp.ReparamTable.phi_of_r
+
+        def counted(table, r):
+            calls.append(np.size(r))
+            return solve(table, r)
+
+        monkeypatch.setattr(rp.ReparamTable, "phi_of_r", counted)
+        bl = rp.boundary_limits(quad_table, "hi")
+        assert len(calls) == 1
+        got = (bl.q0, bl.dphi_dxi, bl.d2phi_dxi2, bl.dqr2_dxi, bl.d2qr2_dxi2,
+               *bl.ratios)
+        pinned = (3.9999999999550964, -1.999999994781293, 3.999999688741322,
+                  -7.999999904728601, 23.99997895020559, 1.9699999999992097,
+                  1.9601502763217267, 1.9313725489676818, 1.9147468497754518)
+        assert got == pytest.approx(pinned, rel=1e-12)
+        calls.clear()
+        c1, c2 = models.ball_extension_coeffs(quad_table.profile, -1.0, 1.0,
+                                              0.0, quad_table)
+        assert len(calls) == 1
+        assert (c1, c2) == pytest.approx(
+            (-3.9999979444192983, 3.9999994826861416), rel=1e-12)

@@ -335,3 +335,10 @@ class TestPointShapes:
                            re.escape(str(shape))):
             tensor.geodesic_batch(euclidean_chart(1), x0, x0 + 1.0, 1.0, fd,
                                   n_steps=8)
+
+    @pytest.mark.parametrize("shape", [(2,), (1, 1, 2)])
+    def test_ball_metric(self, quadratic_profile, shape):
+        x = np.array([1e-3, 0.0]).reshape(shape)
+        with pytest.raises(SkrpError, match=r"\(B, n\), got " +
+                           re.escape(str(shape))):
+            models.ball_metric(quadratic_profile, -1.0, 1.0, x)
