@@ -247,16 +247,22 @@ class ReparamTable:
         Each target keeps a bracket on which log r(phi) - target changes
         sign; a Newton step that would leave it is replaced by bisection.
         The start is the interpolant of the table nodes and the bracket
-        ends.  A target stops once its Newton step falls below 1e-14 of the
+        ends; beyond an end node at a simple root of Q it is the root's
+        own law log r = p log|phi - root| + const (p = a/Q'(root)) through
+        that node, since phi - root is exponential in log r there.  A
+        target stops once its Newton step falls below 1e-14 of the
         interval length (or the roundoff of phi), so its result does not
         depend on the other targets of the call.
         """
         lo, hi = self.profile.interval
         pad = 1e-13 * (hi - lo)
-        # The bracket ends in increasing-r order, like the nodes.
+        # The bracket ends and the end nodes in increasing-r order, like
+        # the nodes; the end nodes' log r unclipped by R_SENTINEL.
         ends = np.array([lo + pad, hi - pad] if self.a > 0
                         else [hi - pad, lo + pad])
-        v_ends = np.asarray(self._logr.value(ends))
+        v = np.asarray(self._logr.value(
+            np.concatenate([ends, self.phi_nodes[[0, -1]]])))
+        v_ends, v_nodes = v[:2], v[2:]
         outside = (target < v_ends[0]) | (target > v_ends[1])
         if np.any(outside):
             raise TableRangeExceeded(f"log r = {target[np.argmax(outside)]} "
@@ -268,6 +274,17 @@ class ReparamTable:
             target, np.concatenate([v_ends[:1], np.log(self.r_nodes),
                                     v_ends[1:]]),
             np.concatenate([ends[:1], self.phi_nodes, ends[1:]]))
+        core = self._logr
+        for k, beyond in ((0, target < v_nodes[0]), (-1, target > v_nodes[1])):
+            root = lo if (k == 0) == (self.a > 0) else hi
+            simple, p = ((core.root_lo, core.p_lo) if root == lo
+                         else (core.root_hi, core.p_hi))
+            if simple and np.any(beyond):
+                node = self.phi_nodes[k]
+                d = abs(node - root) * np.exp(
+                    (target[beyond] - v_nodes[k]) / p)
+                phi[beyond] = np.clip(root + np.sign(node - root) * d,
+                                      lo + pad, hi - pad)
         below = np.full_like(target, ends[0])   # log r(below) < target
         above = np.full_like(target, ends[1])
         active = np.ones(target.shape, dtype=bool)

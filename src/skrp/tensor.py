@@ -393,12 +393,49 @@ class GeodesicPath:
     alive: np.ndarray
 
 
+def _geodesic_acceleration(chart: ChartMetric, x: np.ndarray, v: np.ndarray,
+                           fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic accelerations a = -gamma(v, v) (B, n) at points x with
+    velocities v (B, n), and the mask (B,) of points whose first-order
+    stencil cloud stays in the domain; a is zero at the others.
+
+    One ``chart.domain`` and one ``chart.g`` call on the clouds.  The metric
+    partials are contracted with v, r_l = (d_v g)_{lj} v^j - 1/2 d_l g(v, v),
+    which is g_{lk} gamma^k(v, v), and g a = -r is solved: no Christoffel
+    tensor and no inverse metric are formed.
+    """
+    B, n = x.shape
+    op = stencil(n, fd.richardson, False)
+    P = len(op.codes)
+    pts = (x[:, None, :] + op.codes * (0.5 * fd.h)).reshape(-1, n)
+    ok = np.all(np.asarray(chart.domain(pts), dtype=bool).reshape(B, P),
+                axis=1)
+    whole = ok.all()
+    if not whole:
+        if not ok.any():
+            return np.zeros_like(x), ok
+        pts = pts.reshape(B, P, n)[ok].reshape(-1, n)
+        v = v[ok]
+    vals = np.asarray(chart.g(pts)).reshape(-1, P, n, n)
+    # dgv[b, l, j] = (d_l g)_{jk} v^k
+    dgv = (op.apply(vals, fd.h)[0] @ v[:, None, :, None])[..., 0]
+    r = (v[:, None, :] @ dgv)[:, 0] - 0.5 * (dgv @ v[:, :, None])[..., 0]
+    a = -np.linalg.solve(vals[:, 0], r[..., None])[..., 0]
+    if whole:
+        return a, ok
+    acc = np.zeros_like(x)
+    acc[ok] = a
+    return acc, ok
+
+
 def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
                    s_max: float, fd: FDConfig, n_steps: int
                    ) -> GeodesicPath:
     """Integrate x'' + gamma(x)[x', x'] = 0 by fixed-step RK4 for a batch of
     initial conditions x0, w0 (B, n); w0 is normalized to unit g-length
-    internally.
+    internally.  ``n_steps`` must be a positive multiple of RECORD_EVERY,
+    so that the last sample is the end of the path.  Each RK4 stage is one
+    ``_geodesic_acceleration`` call on the rays still alive.
 
     Integration of a path stops (it is marked not alive) once any stencil
     it needs leaves the chart domain; recorded samples after that hold the
@@ -409,6 +446,9 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     if x0.ndim != 2 or w0.shape != x0.shape:
         raise SkrpError(f"x0 and w0 must have shape (B, n), got {x0.shape} "
                         f"and {w0.shape}")
+    if n_steps <= 0 or n_steps % RECORD_EVERY:
+        raise SkrpError(f"n_steps must be a positive multiple of "
+                        f"{RECORD_EVERY}, got {n_steps}")
     B, n = x0.shape
     g0 = np.asarray(chart.g(x0))
     norms = np.sqrt(np.einsum("bi,bij,bj->b", w0, g0, w0))
@@ -420,50 +460,34 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     n_rec = n_steps // RECORD_EVERY
     xs = np.empty((B, n_rec + 1, n))
     vs = np.empty((B, n_rec + 1, n))
-    ss = np.empty(n_rec + 1)
-    xs[:, 0], vs[:, 0], ss[0] = x, v, 0.0
+    ss = np.arange(0, n_steps + 1, RECORD_EVERY) * hstep
+    xs[:, 0], vs[:, 0] = x, v
 
-    h = fd.h
-    op = stencil(n, fd.richardson, False)
-    offsets = op.codes * (0.5 * h)
-    P = offsets.shape[0]
-
-    def accel(xb, vb, mask):
+    def stage(xb, vb, alive):
+        if alive.all():
+            return _geodesic_acceleration(chart, xb, vb, fd)
         acc = np.zeros_like(xb)
-        if not np.any(mask):
-            return acc, mask
-        pts = (xb[mask][:, None, :] + offsets[None, :, :]).reshape(-1, n)
-        inside = np.asarray(chart.domain(pts), dtype=bool).reshape(-1, P)
-        ok = np.all(inside, axis=1)
-        newmask = mask.copy()
-        newmask[np.nonzero(mask)[0][~ok]] = False
-        if not np.any(ok):
-            return acc, newmask
-        vals = np.asarray(chart.g(pts)).reshape(-1, P, n, n)[ok]
-        idx_active = np.nonzero(mask)[0][ok]
-        gam = _christoffel(np.linalg.inv(vals[:, 0]), op.apply(vals, h)[0])
-        vv = vb[idx_active]
-        acc[idx_active] = -np.einsum("bkij,bi,bj->bk", gam, vv, vv)
-        return acc, newmask
+        idx = np.flatnonzero(alive)
+        if len(idx):
+            acc[idx], ok = _geodesic_acceleration(chart, xb[idx], vb[idx], fd)
+            alive = alive.copy()
+            alive[idx[~ok]] = False
+        return acc, alive
 
-    rec = 0
-    for step in range(n_steps):
-        k1a, alive = accel(x, v, alive)
-        k1x = v
-        k2a, alive = accel(x + 0.5 * hstep * k1x, v + 0.5 * hstep * k1a, alive)
-        k2x = v + 0.5 * hstep * k1a
-        k3a, alive = accel(x + 0.5 * hstep * k2x, v + 0.5 * hstep * k2a, alive)
-        k3x = v + 0.5 * hstep * k2a
-        k4a, alive = accel(x + hstep * k3x, v + hstep * k3a, alive)
-        k4x = v + hstep * k3a
-        m = alive
-        x = np.where(m[:, None], x + hstep / 6.0 *
-                     (k1x + 2 * k2x + 2 * k3x + k4x), x)
-        v = np.where(m[:, None], v + hstep / 6.0 *
-                     (k1a + 2 * k2a + 2 * k3a + k4a), v)
-        if (step + 1) % RECORD_EVERY == 0:
-            rec += 1
-            xs[:, rec], vs[:, rec], ss[rec] = x, v, (step + 1) * hstep
+    half = 0.5 * hstep
+    for step in range(1, n_steps + 1):
+        k1, alive = stage(x, v, alive)
+        v2 = v + half * k1
+        k2, alive = stage(x + half * v, v2, alive)
+        v3 = v + half * k2
+        k3, alive = stage(x + half * v2, v3, alive)
+        v4 = v + hstep * k3
+        k4, alive = stage(x + hstep * v3, v4, alive)
+        m = alive[:, None]
+        x, v = (np.where(m, x + hstep / 6.0 * (v + 2 * v2 + 2 * v3 + v4), x),
+                np.where(m, v + hstep / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), v))
+        if step % RECORD_EVERY == 0:
+            xs[:, step // RECORD_EVERY], vs[:, step // RECORD_EVERY] = x, v
     return GeodesicPath(s=ss, x=xs, v=vs, alive=alive)
 
 

@@ -156,21 +156,30 @@ class TestLeanTables:
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("a", [1.0, -0.5])
-    def test_dense_knots_converged(self, family, a):
+    def test_dense_knots_converged(self, family, a, monkeypatch):
         # The Newton step left at every knot of phi(log r), for windows
         # 10%, 1e-4, 1e-7 and 1e-9 of the interval in from its ends.  The
         # last two reach closer to a root of Q than the table's node clip
         # (1e-6 of the interval), where log r ~ p log(phi - root) and
         # Newton steps from the end node alone are not enough; there
         # phi_of_r at the knot radii, which shares the solver, is checked
-        # too.
+        # too.  Started from that law, those windows take at most one
+        # solver pass (one log r evaluation) more than the windows inside
+        # the node range.
         profile = family_profile(family)
         table = rp.build_reparam(profile, a=a)
         lo, hi = profile.interval
+        calls = []
+        value = table._logr.value
+        monkeypatch.setattr(table._logr, "value",
+                            lambda phi: calls.append(1) or value(phi))
+        passes = {}
         for frac in (0.1, 1e-4, 1e-7, 1e-9):
             window = sorted((float(table.log_r(lo + frac * (hi - lo))),
                              float(table.log_r(hi - frac * (hi - lo)))))
+            calls.clear()
             spline = table.dense_phi_of_logr(*window)
+            passes[frac] = len(calls)
             solved = [(spline(spline.x), spline.x)]
             if frac < 1e-6:
                 radii = np.exp(spline.x)
@@ -179,6 +188,8 @@ class TestLeanTables:
                 step = (table.log_r(phi) - logr) / (
                     a / np.asarray(profile.q(phi)))
                 assert np.max(np.abs(step)) <= 1e-14 * (hi - lo)
+        assert max(passes[1e-7], passes[1e-9]) <= max(passes[0.1],
+                                                      passes[1e-4]) + 1
 
     def test_dense_window_range(self, quad_table):
         lo, hi = quad_table.profile.interval

@@ -224,14 +224,91 @@ class TestGeodesics:
         assert path.alive[0]
         assert speed_drift(shell_chart, path)[0] < 1e-6
 
-    def test_leaves_domain_flagged(self, fd):
+    def test_mixed_batch_masking(self, fd):
+        # On the unit disc with metric (1 + r^2) I, rays 0 and 2 run out
+        # through r = 1 (ray 2 after ray 0, while the batch is already
+        # masked) and ray 1 stays inside.  Ray 1 integrates bit for bit as
+        # if alone, and each leaving ray keeps its last state whose clouds
+        # were all in the domain.
         ch = conformal_2d_chart(
-            lambda r2: np.ones_like(r2),
+            lambda r2: 1.0 + r2,
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
-        path = tensor.geodesic_batch(ch, np.array([[0.0, 0.0]]),
-                                     np.array([[1.0, 0.0]]), 3.0, fd,
-                                     n_steps=256)
-        assert not path.alive[0]
+        x0 = np.array([[0.6, 0.0], [-0.6, 0.0], [0.0, -0.5]])
+        w0 = np.array([[1.0, 0.0], [0.0, 1.0], [0.0, -1.0]])
+        s_max, n_steps = 0.7, 64
+        path = tensor.geodesic_batch(ch, x0, w0, s_max, fd, n_steps)
+        assert path.alive.tolist() == [False, True, False]
+        alone = tensor.geodesic_batch(ch, x0[1:2], w0[1:2], s_max, fd,
+                                      n_steps)
+        assert np.array_equal(path.x[1], alone.x[0])
+        assert np.array_equal(path.v[1], alone.v[0])
+        frozen = []
+        for k in (0, 2):
+            moved = np.any(np.diff(path.x[k], axis=0) != 0, axis=1)
+            last = int(np.flatnonzero(moved)[-1]) + 1
+            frozen.append(last)
+            assert np.all(path.x[k, last:] == path.x[k, last])
+            assert np.all(path.v[k, last:] == path.v[k, last])
+            # Its clouds reach 2h; the step that failed would have moved it
+            # by at most s_max / n_steps at a coordinate speed below 1.
+            r = np.linalg.norm(path.x[k, last])
+            assert 1.0 - 2.0 * fd.h - s_max / n_steps < r < 1.0 - 2.0 * fd.h
+        assert frozen[0] < frozen[1] < len(path.s) - 1
+
+    def test_one_domain_and_g_call_per_stage(self, fd, shell_chart):
+        calls = {"domain": [], "g": []}
+
+        def counted(name, fn):
+            def wrapped(pts):
+                calls[name].append(len(pts))
+                return fn(pts)
+            return wrapped
+
+        ch = dataclasses.replace(
+            shell_chart, g=counted("g", shell_chart.g),
+            domain=counted("domain", shell_chart.domain))
+        x0 = models.sample_points(shell_chart, 3, seed=4)
+        path = tensor.geodesic_batch(ch, x0, x0, 0.05, fd, n_steps=8)
+        assert path.alive.all()
+        P = len(tensor.stencil(4, fd.richardson, False).codes)
+        assert calls["domain"] == [3 * P] * (4 * 8)
+        assert calls["g"] == [3] + [3 * P] * (4 * 8)
+
+    @pytest.mark.parametrize("n_steps", [6, 3, 0])
+    def test_steps_multiple_of_record(self, fd, n_steps):
+        with pytest.raises(SkrpError, match=f"got {n_steps}$"):
+            tensor.geodesic_batch(euclidean_chart(1), np.zeros((1, 2)),
+                                  np.ones((1, 2)), 1.0, fd, n_steps=n_steps)
+
+
+class TestGeodesicAcceleration:
+    """The RK4 stage's acceleration, from the metric partials contracted
+    with v and one solve with g, against -gamma(v, v) from the Christoffel
+    symbols.  Both read the same partials; they differ by rounding in the
+    contraction order and in solving with g instead of inverting it."""
+
+    @pytest.mark.parametrize("model", ["shell4", "shell6", "shell8",
+                                       "sphere", "product"])
+    def test_equals_christoffel_contraction(self, fd, quadratic_profile,
+                                            sphere_model, product_chart,
+                                            model):
+        if model.startswith("shell"):
+            chart = models.build_shell(models.ShellSpec(
+                m=int(model[5:]) // 2, profile=quadratic_profile, a=1.0,
+                eps=1, c=-2.0))
+        else:
+            chart = {"sphere": sphere_model.chart,
+                     "product": product_chart}[model]
+        x = models.sample_points(chart, 12, seed=31)
+        w = np.random.default_rng(32).normal(size=x.shape)
+        v = w / np.sqrt(np.einsum("bi,bij,bj->b", w, chart.g(x), w))[:, None]
+        acc, ok = tensor._geodesic_acceleration(chart, x, v, fd)
+        assert ok.all()
+        gam = tensor.connection_coefficients(chart, x, fd)
+        expect = -np.einsum("bkij,bi,bj->bk", gam, v, v)
+        bound = 1e-12 * (1.0 + np.max(np.abs(gam), axis=(1, 2, 3))
+                         * np.einsum("bi,bi->b", v, v))
+        assert np.all(np.max(np.abs(acc - expect), axis=1) <= bound)
 
 
 def killing_roundoff_bound(fd, n, phi_max):
