@@ -575,15 +575,19 @@ def render_summary(report_text: str) -> str:
     rows = []
     for line in report_text.splitlines():
         if line.startswith("check: "):
-            fields = dict(kv.split("=", 1) for kv in line[7:].split(" ")
-                          if "=" in kv and not kv.startswith("note"))
-            rows.append((fields["name"], fields["residual"],
-                         fields["tolerance"], fields["pass"]))
+            # A note is free text: only the fields before it are read.
+            body = line[len("check: "):].partition(" note=")[0]
+            fields = dict(kv.split("=", 1) for kv in body.split(" ")
+                          if "=" in kv)
+            try:
+                rows.append((fields["name"], float(fields["residual"]),
+                             float(fields["tolerance"]), fields["pass"]))
+            except (KeyError, ValueError):
+                raise ConfigError(f"malformed report row: {line}") from None
     width = max((len(r[0]) for r in rows), default=10)
     out = [f"{'check'.ljust(width)}  {'residual':>13}  {'tolerance':>10}  ok"]
     for name, res, tol, ok in rows:
-        out.append(f"{name.ljust(width)}  {float(res):13.3e}  "
-                   f"{float(tol):10.1e}  {ok}")
+        out.append(f"{name.ljust(width)}  {res:13.3e}  {tol:10.1e}  {ok}")
     out += [ln for ln in report_text.splitlines()
             if ln.startswith("summary: ")]
     return "\n".join(out) + "\n"
@@ -603,8 +607,11 @@ def _load_config(path: str) -> dict:
 
 def _write_out(text: str, out: Optional[str]):
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from None
     else:
         sys.stdout.write(text)
 
@@ -640,8 +647,12 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         if args.command == "report":
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            try:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except (OSError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"cannot read {args.infile}: {exc}"
+                                  ) from None
             _write_out(render_summary(text), args.out)
             return 0
         config = _load_config(args.config)

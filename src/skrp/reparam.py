@@ -5,19 +5,17 @@ so log r splits into exact logarithmic terms at simple roots of Q plus a
 smooth remainder integral.  Tables built here carry that split explicitly,
 which keeps r(phi) accurate arbitrarily close to the roots, where r tends to
 0 or infinity.  Arclength uses ds/dphi = sgn(a)/sqrt(Q), regularized at root
-endpoints by the substitution w = sqrt(phi - endpoint).  The inverse
-phi(r) and the dense interpolant phi(log r) come from one bracketed Newton
-solver on log r(phi).
+endpoints by the substitution w = sqrt(|phi - endpoint|) and integrated by
+one fixed Gauss-Legendre rule in w; the distance invariant L and s(phi)
+both read it.  The inverse phi(r) and the dense interpolant phi(log r) come
+from one bracketed Newton solver on log r(phi).
 
-A table builds only what its callers read: the arclength splines are built
-on first use of ``s_of_phi``, ``s_nodes`` or ``L`` (no pointwise check reads
-them), and the dual table reuses the log-radius split, negated term by term.
+The dual table reuses the log-radius split, negated term by term.
 """
 
 from __future__ import annotations
 
 import copy
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -41,6 +39,8 @@ N_SMOOTH = 2048
 ENDPOINT_CLIP = 1.0e-6
 # Knots of the dense interpolant phi(log r).
 DENSE_KNOTS = 8192
+# Gauss-Legendre nodes and weights on [-1, 1] for the arclength in w.
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(64)
 
 
 class _LogRadius:
@@ -138,50 +138,38 @@ class _LogRadius:
         return out
 
 
-class _Arclength:
-    """Cumulative arclength s(phi) = int dpsi / sqrt(Q) from the lo endpoint.
+def _arc(profile: Profile, end: float, sign: float, w0, w1) -> np.ndarray:
+    """int dphi / sqrt(Q) from phi = end + sign w0^2 to end + sign w1^2,
+    elementwise over the arrays w0 and w1.
 
-    Each half of the interval is integrated in the substituted variable
-    w = sqrt(|phi - endpoint|), which removes the inverse-square-root
-    singularity at simple roots; the cumulants are antiderivatives of
-    splines over uniform w-grids of 4097 nodes.
+    In w = sqrt(|phi - end|) the integrand 2w / sqrt(Q) is smooth at a
+    simple root at ``end``, so fixed Gauss-Legendre nodes integrate it.
     """
+    w0, w1 = np.broadcast_arrays(np.asarray(w0, dtype=float),
+                                 np.asarray(w1, dtype=float))
+    half = 0.5 * (w1 - w0)[..., None]
+    w = 0.5 * (w0 + w1)[..., None] + half * _GL_NODES
+    q = np.asarray(profile.q(end + sign * w * w), dtype=float)
+    return np.sum(half * _GL_WEIGHTS * 2.0 * w / np.sqrt(q), axis=-1)
 
-    def __init__(self, profile: Profile):
-        lo, hi = profile.interval
-        mid = 0.5 * (lo + hi)
-        self.lo, self.hi, self.mid = lo, hi, mid
-        self.profile = profile
-        self._left = self._half(lo, mid, +1.0)
-        self._right = self._half(hi, mid, -1.0)
-        self.total = float(self._left[1] + self._right[1])
 
-    def _half(self, end: float, mid: float, sign: float):
-        w_max = math.sqrt(abs(mid - end))
-        w = np.linspace(0.0, w_max, 4097)
-        phi = end + sign * w ** 2
-        q = np.asarray(self.profile.q(phi), dtype=float)
-        integrand = np.empty_like(w)
-        integrand[1:] = 2.0 * w[1:] / np.sqrt(q[1:])
-        slope = self.profile.dq(end)
-        q_end = float(self.profile.q(end))
-        if q_end > 1e-9 * max(self.profile.q_scale, 1.0):
-            integrand[0] = 0.0
-        else:
-            integrand[0] = 2.0 / math.sqrt(abs(float(slope)))
-        cum = cubic_spline(w, integrand).antiderivative()
-        return cum, float(cum(w_max))
+def _s_from_lo(profile: Profile, phi) -> np.ndarray:
+    """Arclength from the lo endpoint to phi, clipped to the interval.
 
-    def from_lo(self, phi):
-        """s measured from the lo endpoint, increasing with phi."""
-        phi = np.asarray(phi, dtype=float)
-        left_cum, left_total = self._left
-        right_cum, right_total = self._right
-        w_left = np.sqrt(np.clip(phi - self.lo, 0.0, None))
-        w_right = np.sqrt(np.clip(self.hi - phi, 0.0, None))
-        left_val = left_cum(w_left)
-        right_val = left_total + (right_total - right_cum(w_right))
-        return np.where(phi <= self.mid, left_val, right_val)
+    The interval splits at its midpoint, and each half is integrated in
+    the w of its own endpoint.  On the lo half s is the whole half less
+    the part from phi to the midpoint, so no node comes nearer a root than
+    the nodes of a whole half, however close phi is to it.
+    """
+    lo, hi = profile.interval
+    mid = 0.5 * (lo + hi)
+    phi = np.clip(np.asarray(phi, dtype=float), lo, hi)
+    w_lo, w_hi = math.sqrt(mid - lo), math.sqrt(hi - mid)
+    w_phi_lo = np.sqrt(np.minimum(phi, mid) - lo)
+    w_phi_hi = np.sqrt(hi - np.maximum(phi, mid))
+    return (_arc(profile, lo, +1.0, 0.0, w_lo)
+            - _arc(profile, lo, +1.0, w_phi_lo, w_lo)
+            + _arc(profile, hi, -1.0, w_phi_hi, w_hi))
 
 
 @dataclass(frozen=True)
@@ -191,8 +179,8 @@ class ReparamTable:
     Nodes are stored in increasing-r order (equivalently increasing s, with
     s = 0 at the small-r end).  ``r_unbounded`` marks tables whose radial
     coordinate exceeds R_SENTINEL before the far endpoint, the finite
-    stand-in for r -> infinity.  The arclength (``s_nodes``, ``L`` and
-    ``s_of_phi``) is built on first use and then kept.
+    stand-in for r -> infinity.  The arclength ``L`` and ``s_of_phi`` are
+    quadratures of the profile, evaluated on each call.
     """
 
     profile: Profile
@@ -305,26 +293,16 @@ class ReparamTable:
                 break
         return phi
 
-    # -- arclength, built on first use --------------------------------------
-
-    @functools.cached_property
-    def _arc(self) -> _Arclength:
-        return _Arclength(self.profile)
+    # -- arclength ------------------------------------------------------------
 
     @property
     def L(self) -> float:
-        return self._arc.total
-
-    @functools.cached_property
-    def s_nodes(self) -> np.ndarray:
-        return self.s_of_phi(self.phi_nodes)
+        return float(_s_from_lo(self.profile, self.profile.interval[1]))
 
     def s_of_phi(self, phi):
-        base = self._arc.from_lo(phi)
-        if self.a > 0:
-            out = base
-        else:
-            out = self._arc.total - base
+        out = _s_from_lo(self.profile, phi)
+        if self.a < 0:
+            out = self.L - out
         if np.isscalar(phi):
             return float(out)
         return out
@@ -394,36 +372,21 @@ def _table(profile: Profile, a: float, anchor: tuple[float, float],
 
 
 def critical_distance(profile: Profile) -> float:
-    """The arclength integral L = int dphi / sqrt(Q) over the interval.
+    """The distance invariant L = int dphi / sqrt(Q) over the interval.
 
-    Requires simple roots at both endpoints; the integral is split at the
-    midpoint and each half is regularized by w = sqrt(|phi - endpoint|)
-    before adaptive quadrature.
+    Requires simple roots at both endpoints, where L is the length of the
+    normal geodesics between the critical sets of phi.  The quadrature is
+    that of ``ReparamTable.L``: the interval splits at its midpoint, and
+    each half is integrated by the 64 Gauss-Legendre nodes in
+    w = sqrt(|phi - endpoint|), where the integrand is smooth.
     """
-    # Importing SciPy costs most of a short run, so only this check does.
-    from scipy.integrate import quad
-
     lo, hi = profile.interval
     for which, end in ((0, lo), (1, hi)):
         slope = profile.endpoint_slopes[which]
         if slope is None or abs(slope) < 1e-12:
             raise SingularEndpoint(
                 f"endpoint {end} is not a simple root of Q")
-    mid = 0.5 * (lo + hi)
-
-    def half(end: float, sign: float, w_max: float) -> float:
-        def integrand(w):
-            if w == 0.0:
-                return 2.0 / math.sqrt(abs(profile.dq(end)))
-            return 2.0 * w / math.sqrt(float(profile.q(end + sign * w * w)))
-
-        val, _ = quad(integrand, 0.0, w_max, epsrel=1.0e-9, epsabs=0.0,
-                      limit=200)
-        return val
-
-    left = half(lo, +1.0, math.sqrt(mid - lo))
-    right = half(hi, -1.0, math.sqrt(hi - mid))
-    return left + right
+    return float(_s_from_lo(profile, hi))
 
 
 @dataclass(frozen=True)

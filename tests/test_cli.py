@@ -317,6 +317,28 @@ class TestRendering:
         assert "hess_orthogonal_block" in table
         assert "summary:" in table
 
+    def test_summary_reads_fields_before_the_note(self):
+        text = ("check: name=a residual=1e-09 tolerance=1e-06 pass=true "
+                "note=name=b pass=false\nsummary: pass=1 fail=0 exit=0\n")
+        rows = cli.render_summary(text).splitlines()
+        assert rows[1].split() == ["a", "1.000e-09", "1.0e-06", "true"]
+        assert rows[2] == "summary: pass=1 fail=0 exit=0"
+
+    @pytest.mark.parametrize("row", [
+        "check: name=a residual=1e-09 pass=true",
+        "check: residual=1e-09 tolerance=1e-06 pass=true",
+        "check: name=a tolerance=1e-06 pass=true note=residual=1e-09",
+        "check: name=a residual=1e-09 tolerance=1e-06",
+        "check: name=a residual=big tolerance=1e-06 pass=true",
+    ], ids=["no_tolerance", "no_name", "residual_in_note", "no_pass",
+            "residual_not_a_number"])
+    def test_malformed_row_exit_two(self, row, tmp_path, capsys):
+        report = tmp_path / "report.txt"
+        report.write_text(row + "\n")
+        assert cli.main(["report", "--in", str(report)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: malformed report row: {row}\n"
+
     def test_build_grid(self):
         text = cli.run_build(SHELL_CONFIG, seed=5)
         rows = text.splitlines()
@@ -357,6 +379,21 @@ class TestMainEntry:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command",
+                             ["report", "verify", "build", "classify"])
+    def test_missing_file_exit_two(self, command, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.txt"
+        if command == "report":
+            argv, said = ["report", "--in", str(path)], "cannot read"
+        else:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps(SHELL_CONFIG))
+            argv = [command, "--config", str(cfg), "--out", str(path)]
+            said = "cannot write"
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: {said} {path}: ")
 
     def test_bad_thread_variable_exit_two(self, tmp_path, capsys,
                                           monkeypatch):
@@ -404,22 +441,35 @@ class TestMainEntry:
         if name == "sphere_k4":
             assert len(report_rows(text)["distance_geodesic"]) == 1
 
-    def test_no_scipy_on_the_verify_path(self):
-        # Importing scipy costs most of a shipped run; only the distance
-        # check's quadrature may load it, on first use.
+    def test_runs_with_scipy_blocked(self, tmp_path):
+        # scipy is a test dependency only: with its import blocked, both
+        # shipped configs (the sphere's runs `distance`) and one build,
+        # classify and sweep run and exit 0.
+        shell = tmp_path / "shell.json"
+        shell.write_text(json.dumps(SHELL_CONFIG))
+        sweep = tmp_path / "sweep.json"
+        sweep.write_text(json.dumps({"sweep": {
+            "kind": "type_a_admissible", "m": [2], "K": [1.0],
+            "alpha": [0.0], "eta": [-6.0]}}))
+        runs = [["verify", "--config", str(CONFIGS / f"{name}.json")]
+                for name in ("shell_quadratic", "sphere_k4")]
+        runs += [["build", "--config", str(shell)],
+                 ["classify", "--config", str(shell)],
+                 ["sweep", "--config", str(sweep)]]
+        runs = [argv + ["--out", str(tmp_path / f"out{k}.txt")]
+                for k, argv in enumerate(runs)]
         script = ("import json, sys\n"
+                  "sys.modules['scipy'] = None\n"
                   "import skrp, skrp.cli\n"
-                  "with open(sys.argv[1]) as fh:\n"
-                  "    code, _ = skrp.cli.run_config(json.load(fh))\n"
-                  "assert code == 0, code\n"
-                  "print(sorted(m for m in sys.modules if 'scipy' in m))\n")
+                  "for argv in json.loads(sys.argv[1]):\n"
+                  "    assert skrp.cli.main(argv) == 0, argv\n")
         src = str(pathlib.Path(cli.__file__).resolve().parents[1])
-        out = subprocess.run(
-            [sys.executable, "-c", script,
-             str(CONFIGS / "shell_quadratic.json")],
-            capture_output=True, text=True, timeout=120, check=True,
-            env=dict(os.environ, PYTHONPATH=src))
-        assert out.stdout.strip() == "[]", out.stdout
+        out = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                             capture_output=True, text=True, timeout=120,
+                             env=dict(os.environ, PYTHONPATH=src))
+        assert out.returncode == 0, out.stderr
+        assert all((tmp_path / f"out{k}.txt").stat().st_size > 0
+                   for k in range(len(runs)))
 
     def test_classify_output(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

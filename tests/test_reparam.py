@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from skrp import models
 from skrp import profiles as pf
@@ -66,7 +67,7 @@ class TestBuildReparam:
 
     def test_monotone_and_round_trip(self, quad_table):
         assert np.all(np.diff(quad_table.r_nodes) > 0)
-        assert np.all(np.diff(quad_table.s_nodes) > 0)
+        assert np.all(np.diff(quad_table.s_of_phi(quad_table.phi_nodes)) > 0)
         dphi = np.diff(quad_table.phi_nodes)
         assert np.all(dphi > 0) or np.all(dphi < 0)
         probes = np.linspace(-0.99, 0.99, 1000)
@@ -112,35 +113,8 @@ class TestBuildReparam:
 
 
 class TestLeanTables:
-    """A table builds the arclength only when it is read, derives its dual
-    by negation, and seeds phi(log r) from its own nodes."""
-
-    def test_charts_leave_arclength_unbuilt(self, quadratic_profile):
-        charts = [
-            models.build_shell(models.ShellSpec(
-                m=3, profile=quadratic_profile, a=1.0, eps=1, c=-2.0)),
-            models.build_annulus(models.AnnulusSpec(
-                profile=quadratic_profile, a=-1.0)),
-        ]
-        for chart in charts:
-            built = vars(chart.meta["table"])
-            assert not {"_arc", "L", "s_nodes"} & set(built)
-
-    @pytest.mark.parametrize("family", FAMILIES)
-    @pytest.mark.parametrize("a", [1.0, -0.5])
-    def test_lazy_arclength_equals_eager(self, family, a):
-        profile = family_profile(family)
-        table = rp.build_reparam(profile, a=a)
-        eager = rp._Arclength(profile)
-        from_lo = eager.from_lo(table.phi_nodes)
-        s_nodes = from_lo if a > 0 else eager.total - from_lo
-        assert table.L == float(eager.total)
-        assert np.array_equal(table.s_nodes, s_nodes)
-        lo, hi = profile.interval
-        phis = np.linspace(lo, hi, 101)
-        base = eager.from_lo(phis)
-        expect = base if a > 0 else eager.total - base
-        assert np.array_equal(table.s_of_phi(phis), expect)
+    """A table derives its dual by negation and seeds phi(log r) from its
+    own nodes."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     @pytest.mark.parametrize("a", [1.0, -0.5])
@@ -203,6 +177,26 @@ class TestLeanTables:
             quad_table.dense_phi_of_logr(ends[0] - 1e-6, ends[1])
 
 
+def quad_from_lo(profile, phis):
+    """Arclength from the lo endpoint to each phi by SciPy's adaptive
+    quadrature, each half of the interval in w = sqrt(|phi - endpoint|)."""
+    lo, hi = profile.interval
+    mid = 0.5 * (lo + hi)
+
+    def half(end, sign, w0, w1):
+        def integrand(w):
+            return 2.0 * w / math.sqrt(float(profile.q(end + sign * w * w)))
+        return quad(integrand, w0, w1, epsabs=0.0, epsrel=1e-13,
+                    limit=200)[0]
+
+    left = half(lo, +1.0, 0.0, math.sqrt(mid - lo))
+    right = half(hi, -1.0, 0.0, math.sqrt(hi - mid))
+    return np.array([
+        half(lo, +1.0, 0.0, math.sqrt(phi - lo)) if phi <= mid
+        else left + right - half(hi, -1.0, 0.0, math.sqrt(hi - phi))
+        for phi in phis])
+
+
 class TestDistanceInvariant:
     @pytest.mark.parametrize("K,phi0", [(4.0, 1.0), (4.0, 0.3), (1.0, 2.0)])
     def test_quadratic_closed_form(self, K, phi0):
@@ -225,6 +219,27 @@ class TestDistanceInvariant:
         assert rp.critical_distance(quad_table.profile) == pytest.approx(
             rp.critical_distance(dual.profile), rel=0.0, abs=0.0)
         assert quad_table.L == pytest.approx(dual.L, rel=1e-12)
+
+    @pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("a", [1.0, -0.5])
+    def test_arclength_matches_quad(self, family, a):
+        # critical_distance, L and s(phi) against adaptive quadrature of
+        # the same w-substituted halves, to 1e-12 of L.
+        profile = family_profile(family)
+        table = rp.build_reparam(profile, a=a)
+        lo, hi = profile.interval
+        phis = np.linspace(lo, hi, 101)
+        from_lo = quad_from_lo(profile, phis)
+        L = from_lo[-1]
+        if None in profile.endpoint_slopes:
+            with pytest.raises(SingularEndpoint):
+                rp.critical_distance(profile)
+        else:
+            assert abs(rp.critical_distance(profile) / L - 1.0) <= 1e-12
+        assert abs(table.L / L - 1.0) <= 1e-12
+        expect = from_lo if a > 0 else L - from_lo
+        assert np.max(np.abs(table.s_of_phi(phis) - expect)) <= 1e-12 * L
 
     def test_singular_endpoint(self):
         prof = pf.make_profile(pf.Polynomial(coeffs=(1.0, 0.0, -1.0)),

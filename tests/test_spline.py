@@ -8,13 +8,13 @@ from scipy.interpolate import CubicSpline, PPoly
 from skrp import profiles, reparam, spline
 from conftest import FAMILIES, family_profile
 
-SITES = ("log_radius", "arclength_lo", "arclength_hi", "phi_of_log_r")
+SITES = ("log_radius", "phi_of_log_r")
 
 
 def recorded_grids(family, monkeypatch):
     """{site: (x, y)} of every spline the table layer builds for one
-    profile of a family: the log-radius remainder, both arclength halves,
-    phi(log r) over a window, and for the custom family its samples."""
+    profile of a family: the log-radius remainder, phi(log r) over a
+    window, and for the custom family its samples."""
     grids = []
 
     def recording(x, y):
@@ -27,7 +27,6 @@ def recorded_grids(family, monkeypatch):
     grids.clear()
     monkeypatch.setattr(reparam, "cubic_spline", recording)
     table = reparam.build_reparam(profile, a=1.0)
-    table.s_of_phi(profile.interval[0])
     lo, hi = profile.interval
     pad = 0.1 * (hi - lo)
     table.dense_phi_of_logr(*sorted((float(table.log_r(lo + pad)),
