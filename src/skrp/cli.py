@@ -210,7 +210,7 @@ def check_curvature_constant(ctx, params, fd, seed):
     K = ctx.chart.meta["K"]
     count = params["points"]
     rng = np.random.default_rng(seed)
-    n_near = max(4, count // 5)
+    n_near = min(count, max(4, count // 5))
     r = np.concatenate([
         np.exp(rng.uniform(math.log(1e-3), math.log(1e-2), n_near)),
         np.exp(rng.uniform(math.log(0.05), math.log(2.0), count - n_near))])

@@ -264,12 +264,16 @@ def connection_coefficients(chart: ChartMetric, x, fd: FDConfig) -> np.ndarray:
     return metric_jet(chart, x, fd, second=False).gamma
 
 
+def _dginv(jet: MetricJet) -> np.ndarray:
+    """dginv[b, j, l, m] = partial_j g^{lm} = -(g^-1 partial_j g g^-1)^{lm}."""
+    ginv = jet.ginv[:, None]
+    return -(ginv @ jet.dg @ ginv)
+
+
 def _gamma_partials(jet: MetricJet) -> np.ndarray:
     """dgamma[b, j, l, i, k] = partial_j gamma^l_{ik}, assembled
     analytically from the metric jet (no nested differencing)."""
-    ginv = jet.ginv[:, None]
-    dginv = -(ginv @ jet.dg @ ginv)                      # [b, j, l, m]
-    return 0.5 * (np.einsum("bjlm,bikm->bjlik", dginv, _bracket(jet.dg))
+    return 0.5 * (np.einsum("bjlm,bikm->bjlik", _dginv(jet), _bracket(jet.dg))
                   + np.einsum("blm,bjikm->bjlik", jet.ginv,
                               _bracket(jet.d2g)))
 
@@ -343,6 +347,7 @@ def orthonormal_frame(g: np.ndarray, seeds: Optional[np.ndarray] = None
 class PotentialDerivatives:
     grad_phi: np.ndarray
     dphi: np.ndarray
+    d2phi: np.ndarray       # d2phi[b, i, j] = partial_i partial_j phi
     hess_phi: np.ndarray
     Y: np.ndarray
     Q: np.ndarray
@@ -361,7 +366,7 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
     return PotentialDerivatives(
-        grad_phi=grad, dphi=dphi, hess_phi=hess,
+        grad_phi=grad, dphi=dphi, d2phi=d2phi, hess_phi=hess,
         Y=np.einsum("bij,bij->b", jet.ginv, hess),
         Q=np.einsum("bi,bi->b", dphi, grad))
 
@@ -371,8 +376,7 @@ def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
     """Euclidean gradient (B, n) of a scalar function at a batch of points.
 
     The cloud keeps its center, so that the taps enter as differences from
-    the center value; that lowers the roundoff of the nested differences
-    (the Killing field, Q) built on this gradient."""
+    the center value."""
     return partials(fn, np.asarray(pts, dtype=float), fd.h, fd.richardson,
                     False)[1]
 
@@ -539,29 +543,38 @@ class KillingResiduals:
         return np.maximum(self.sym_nabla_u_res, self.hermitian_hess_res)
 
 
+def _killing_field(jet: MetricJet, pot: PotentialDerivatives,
+                   J: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """u = J grad phi (B, n) and its partials du[b, j, k] = partial_j u^k
+    (B, n, n), from the metric jet and the coordinate second partials of
+    phi: partial_j u = J (partial_j g^-1 dphi + g^-1 partial_j dphi)."""
+    dgrad = (np.einsum("bjlm,bm->bjl", _dginv(jet), pot.dphi)
+             + np.einsum("blm,bjm->bjl", jet.ginv, pot.d2phi))
+    return pot.grad_phi @ J.T, dgrad @ J.T
+
+
 def killing_residual(chart: ChartMetric, x, fd: FDConfig) -> KillingResiduals:
     """Killing-field and Hermitian-Hessian residuals for u = J grad(phi).
 
-    sym_nabla_u_res    = max|symmetrized lowered nabla u| / (1 + max|nabla u|);
+    sym_nabla_u_res    = max|sym(g nabla u)| / (1 + max|g nabla u|), with
+                         g nabla u the lowered tensor (nabla_j u)_k;
     hermitian_hess_res = max|H(J., .) + H(., J.)| / (1 + max|H|).
+
+    One first-order metric cloud and one second-order phi cloud per point:
+    nabla u comes from the metric jet and the second partials of phi, not
+    from differencing u itself.
     """
     jet = metric_jet(chart, x, fd, second=False)
+    pot = potential_derivatives(chart, x, fd, jet=jet)
     J = chart.J
-
-    def u_field(pts):
-        ginvs = np.linalg.inv(np.asarray(chart.g(pts)))
-        dphis = _batch_grad_scalar(chart, chart.phi, pts, fd)
-        return np.einsum("blm,bm->bl", ginvs, dphis) @ J.T
-
-    u0, du, _ = partials(u_field, x, fd.h, fd.richardson, False,
-                         domain=chart.domain)
+    u, du = _killing_field(jet, pot, J)
     # nabla_j u^k at [b, k, j]; du[b, j, k] = d_j u^k.
-    nu = np.swapaxes(du, 1, 2) + np.einsum("bkjm,bm->bkj", jet.gamma, u0)
+    nu = np.swapaxes(du, 1, 2) + np.einsum("bkjm,bm->bkj", jet.gamma, u)
     lowered = jet.g @ nu
     sym_res = (_amax(lowered + np.swapaxes(lowered, 1, 2))
                / (1.0 + _amax(lowered)))
 
-    H = potential_derivatives(chart, x, fd, jet=jet).hess_phi
+    H = pot.hess_phi
     herm_res = _amax(J.T @ H @ J - H) / (1.0 + _amax(H))
     return KillingResiduals(sym_nabla_u_res=sym_res,
                             hermitian_hess_res=herm_res)

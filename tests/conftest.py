@@ -31,6 +31,16 @@ def family_profile(family):
     }[family]()
 
 
+def family_shell(family):
+    """The m = 2 shell (a = 1, eps = 1) over ``family_profile(family)``, c
+    below the profile interval unless the profile fixes it."""
+    prof = family_profile(family)
+    lo, hi = prof.interval
+    c = {"type_c": 1.0, "custom": 0.0}.get(family, lo - 0.5 * (hi - lo))
+    return models.build_shell(models.ShellSpec(m=2, profile=prof, a=1.0,
+                                               eps=1, c=c))
+
+
 @pytest.fixture(scope="session")
 def fd():
     return tensor.FDConfig()

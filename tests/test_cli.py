@@ -154,6 +154,17 @@ class TestRunConfig:
         assert "pass=false" in text
         assert "summary:" in text   # report still written
 
+    @pytest.mark.parametrize("points", [1, 2, 3])
+    def test_curvature_constant_few_points(self, points, tmp_path):
+        # Fewer points than the 4 near-pole radii the check asks for.
+        config = patched(SPHERE_CONFIG, "checks",
+                         [{"name": "curvature_constant", "points": points}])
+        cfg, out = tmp_path / "cfg.json", tmp_path / "out.txt"
+        cfg.write_text(json.dumps(config))
+        assert cli.main(["verify", "--config", str(cfg),
+                         "--out", str(out)]) == 0
+        assert list(report_rows(out.read_text())) == ["curvature_constant"]
+
     def test_report_embeds_resolved_config(self):
         code, text = cli.run_config(SHELL_CONFIG, seed_override=99)
         line = [ln for ln in text.splitlines()

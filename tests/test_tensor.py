@@ -9,7 +9,7 @@ import pytest
 
 from skrp import models, tensor, verify
 from skrp.errors import SkrpError, StencilOutOfDomain
-from conftest import euclidean_chart
+from conftest import FAMILIES, euclidean_chart, family_shell
 
 
 def conformal_2d_chart(factor, dfactor=None, domain=None):
@@ -315,11 +315,12 @@ def killing_roundoff_bound(fd, n, phi_max):
     """Roundoff bound of ``killing_residual`` on a flat chart.
 
     A value of phi carries an error of at most eps phi_max, phi_max the
-    largest |phi| on the nested stencil clouds.  A first-derivative row with
-    unit-step weights w turns value errors e into at most 2 e sum|w| / h
-    (each tap enters as a difference from the center), so the gradient
-    carries 2 S1 eps phi_max / h and nabla u, a difference of gradients,
-    4 S1^2 eps phi_max / h^2; a Hessian entry carries 2 S2 eps phi_max / h^2.
+    largest |phi| on the stencil clouds.  A row with unit-step weights w
+    turns value errors e into at most 2 e sum|w| / h^k (each tap enters as
+    a difference from the center), so a second partial carries
+    2 S2 eps phi_max / h^2, and so do the Hessian and nabla u, which on a
+    flat chart is J times the second partials of phi.  The bound also
+    covers nabla u as a difference of gradients, 4 S1^2 eps phi_max / h^2.
     Symmetrizing, or forming J^T H J - H, at most doubles these, and the
     normalizations 1 + max|.| are at least 1.
     """
@@ -339,7 +340,7 @@ class TestResidualOperators:
         # phi = |x|^2 gives the Killing field u = J grad phi exactly, so its
         # residual is roundoff; phi = x0^2 + 2 x1^2 does not.
         pts = np.random.default_rng(20).uniform(-0.6, 0.6, (20, 4))
-        reach = np.linalg.norm(pts, axis=1) + 4.0 * fd.h  # nested clouds
+        reach = np.linalg.norm(pts, axis=1) + 4.0 * fd.h  # past the clouds
         km = tensor.killing_residual(ch, pts, fd)
         assert np.all(km.worst() <= killing_roundoff_bound(fd, 4, reach ** 2))
         skewed = euclidean_chart(
@@ -386,6 +387,83 @@ class TestResidualOperators:
             domain=lambda pts: np.einsum("bi,bi->b", pts, pts) < 1.0)
         with pytest.raises(StencilOutOfDomain):
             tensor.curvature(ch, np.array([[0.9999, 0.0]]), fd)
+
+
+def nested_killing_field(chart, x, fd):
+    """u = J grad phi and du[b, j, k] = d_j u^k by differencing u itself, a
+    gradient stencil at each outer stencil point: the nested reference for
+    ``tensor._killing_field``."""
+
+    def u_field(pts):
+        ginvs = np.linalg.inv(np.asarray(chart.g(pts)))
+        dphis = tensor._batch_grad_scalar(chart, chart.phi, pts, fd)
+        return np.einsum("blm,bm->bl", ginvs, dphis) @ chart.J.T
+
+    u, du, _ = tensor.partials(u_field, x, fd.h, fd.richardson, False,
+                               domain=chart.domain)
+    return u, du
+
+
+class TestKillingField:
+    """nabla u from the metric jet and the second partials of phi."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_nested_reference(self, fd, family):
+        # Worst measured gap of du: 5.0e-9 of 1 + max|du| (custom).
+        chart = family_shell(family)
+        x = models.sample_points(chart, 10, seed=3)
+        jet = tensor.metric_jet(chart, x, fd, second=False)
+        pot = tensor.potential_derivatives(chart, x, fd, jet=jet)
+        u, du = tensor._killing_field(jet, pot, chart.J)
+        u_ref, du_ref = nested_killing_field(chart, x, fd)
+        assert np.max(np.abs(u - u_ref)) <= 1e-12 * (1.0 + np.max(np.abs(u)))
+        assert np.max(np.abs(du - du_ref)) <= 5e-7 * (1.0
+                                                       + np.max(np.abs(du)))
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_quadratic_shells(self, fd, quadratic_profile, m):
+        # Measured: 1.1e-9 / 1.6e-9 / 1.2e-9 for m = 2 / 3 / 4.
+        chart = models.build_shell(models.ShellSpec(
+            m=m, profile=quadratic_profile, a=1.0, eps=1, c=-2.0))
+        x = models.sample_points(chart, 40, seed=3)
+        assert np.max(tensor.killing_residual(chart, x, fd).sym_nabla_u_res
+                      ) <= 5e-9
+
+    def test_perturbed_potential_same_on_both_routes(self, fd, shell_chart,
+                                                     monkeypatch):
+        # Negative control: phi + 1e-3 x0^2 is no Killing potential, and
+        # the direct and the nested nabla u read the same residual.
+        phi = shell_chart.phi
+        bad = dataclasses.replace(
+            shell_chart, phi=lambda p: phi(p) + 1e-3 * p[:, 0] ** 2)
+        x = models.sample_points(bad, 40, seed=3)
+        direct = tensor.killing_residual(bad, x, fd).sym_nabla_u_res
+        monkeypatch.setattr(
+            tensor, "_killing_field",
+            lambda jet, pot, J: nested_killing_field(bad, x, fd))
+        nested = tensor.killing_residual(bad, x, fd).sym_nabla_u_res
+        for res in (direct, nested):
+            assert np.max(res) == pytest.approx(4.5168e-3, abs=1e-6)
+
+    def test_one_g_and_one_phi_call(self, fd, shell_chart):
+        # No nested stencil: one first-order metric cloud and one
+        # second-order phi cloud per point.
+        calls = {"g": [], "phi": []}
+
+        def counted(name, fn):
+            def wrapped(pts):
+                calls[name].append(len(pts))
+                return fn(pts)
+            return wrapped
+
+        ch = dataclasses.replace(shell_chart, g=counted("g", shell_chart.g),
+                                 phi=counted("phi", shell_chart.phi))
+        tensor.killing_residual(ch, models.sample_points(ch, 3, seed=4), fd)
+        n = ch.n
+        first = len(tensor.stencil(n, fd.richardson, False).codes)
+        second = len(tensor.stencil(n, fd.richardson, True).codes)
+        assert (first, second) == (1 + 6 * n, 97)
+        assert calls == {"g": [3 * first], "phi": [3 * second]}
 
 
 class TestPointShapes:
