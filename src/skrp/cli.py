@@ -64,9 +64,9 @@ def _require_keys(node: dict, allowed: set, required: set, where: str):
 
 
 def _value(value, kind, where: str):
-    """value checked against a field type: int, float (an int will do), bool,
-    str, or ``[Optional] tuple[...]``, a list of that many numbers (any number
-    for a bare tuple) returned as a tuple."""
+    """value checked against a field type: int, float (an int will do; a
+    float must be finite), bool, str, or ``[Optional] tuple[...]``, a list of
+    that many numbers (any number for a bare tuple) returned as a tuple."""
     if get_origin(kind) in (Union, types.UnionType):
         kind, = (t for t in get_args(kind) if t is not type(None))
     if kind is tuple or get_origin(kind) is tuple:
@@ -80,6 +80,9 @@ def _value(value, kind, where: str):
     if (not isinstance(value, allowed)
             or isinstance(value, bool) != (kind is bool)):
         raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+    # json reads NaN and Infinity, which no parameter or tolerance can be.
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
     return value
 
 
@@ -173,10 +176,12 @@ def _context(config: dict, seed: Optional[int] = None
                   {"model"}, "config")
     _value(config.get("out", ""), str, "config.out")
     own = _value(config.get("seed", 0), int, "config.seed")
+    seed = own if seed is None else seed
+    if seed < 0:
+        raise ConfigError(f"seed: expected a non-negative int, got {seed}")
     fd = parse_fd(config.get("fd"))
     profile = parse_profile(config["profile"]) if "profile" in config else None
-    return (parse_model(config["model"], profile),
-            int(own if seed is None else seed), fd)
+    return parse_model(config["model"], profile), int(seed), fd
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +440,9 @@ def _resolve(entry: dict, tol_scale: float) -> tuple[str, dict]:
 def run_config(config: dict, seed_override: Optional[int] = None,
                tol_scale: float = 1.0, threads: int = 1) -> tuple[int, str]:
     """Execute a verification plan; returns (exit_code, report_text)."""
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise ConfigError(f"tol_scale: expected a positive finite number, "
+                          f"got {tol_scale!r}")
     ctx, seed, fd = _context(config, seed_override)
     if not isinstance(config.get("checks"), list):
         raise ConfigError("checks: expected a list")
@@ -487,14 +495,16 @@ def _render_report(config: dict, seed: int,
 # Sweeps
 # ---------------------------------------------------------------------------
 
-# Sweep kind -> its axes and their default values.
+# Sweep kind -> its axes and their default values; an axis whose default is
+# an int takes whole numbers only.
 SWEEP_AXES = {"slope_poly": {"k": [2], "beta": [0.0]},
               "type_a_admissible": {"m": [2], "K": [1.0], "alpha": [0.0],
                                     "eta": [-1.0]}}
 
 
-def _axis_values(node, where: str) -> list:
-    """A sweep axis: a list, one number, or {start, stop, num} (linspace)."""
+def _axis_values(node, where: str, whole: bool) -> list:
+    """A sweep axis: a list, one number, or {start, stop, num} (linspace);
+    the values of a ``whole`` axis must be whole numbers."""
     if isinstance(node, dict):
         _require_keys(node, {"start", "stop", "num"},
                       {"start", "stop", "num"}, where)
@@ -502,10 +512,16 @@ def _axis_values(node, where: str) -> list:
         if num < 0:
             raise ConfigError(f"{where}.num: expected a non-negative int, "
                               f"got {num}")
-        return list(np.linspace(_value(node["start"], float, where),
-                                _value(node["stop"], float, where), num))
-    return [_value(v, float, where)
-            for v in (node if isinstance(node, list) else [node])]
+        values = list(np.linspace(_value(node["start"], float, where),
+                                  _value(node["stop"], float, where), num))
+    else:
+        values = [_value(v, float, where)
+                  for v in (node if isinstance(node, list) else [node])]
+    # _value returns an int unchanged, and int.is_integer is Python 3.12+.
+    if whole and not all(float(v).is_integer() for v in values):
+        raise ConfigError(f"{where}: expected whole numbers, got "
+                          f"{[float(v) for v in values]}")
+    return values
 
 
 def run_sweep(config: dict) -> str:
@@ -522,24 +538,30 @@ def run_sweep(config: dict) -> str:
     axes = SWEEP_AXES[kind]
     _require_keys(node, {"kind", *axes}, {"kind"}, "sweep")
     grid = itertools.product(*(_axis_values(node.get(key, default),
-                                            f"sweep.{key}")
+                                            f"sweep.{key}",
+                                            isinstance(default[0], int))
                                for key, default in axes.items()))
     buf = io.StringIO()
     writer = csv.writer(buf, quoting=csv.QUOTE_MINIMAL, lineterminator="\n")
-    if kind == "slope_poly":
-        writer.writerow(["k", "beta", "f", "factor_residual"])
-        for k, beta in grid:
-            f, res = profiles.slope_constraint_poly(int(k), float(beta))
-            writer.writerow([int(k), repr(float(beta)), repr(f), repr(res)])
-    else:
-        writer.writerow(["m", "K", "alpha", "eta", "found", "boundary_pass",
-                         "symmetric"])
-        for m, K, alpha, eta in grid:
-            rep = profiles.symmetric_family_report(profiles.TypeA(
-                m=int(m), K=float(K), alpha=float(alpha), eta=float(eta)))
-            writer.writerow([int(m), repr(float(K)), repr(float(alpha)),
-                             repr(float(eta)), int(rep.found),
-                             int(rep.boundary_ok), int(rep.symmetric)])
+    # A row the profile code rejects (k or m below 2) is bad input.
+    try:
+        if kind == "slope_poly":
+            writer.writerow(["k", "beta", "f", "factor_residual"])
+            for k, beta in grid:
+                f, res = profiles.slope_constraint_poly(int(k), float(beta))
+                writer.writerow([int(k), repr(float(beta)), repr(f),
+                                 repr(res)])
+        else:
+            writer.writerow(["m", "K", "alpha", "eta", "found",
+                             "boundary_pass", "symmetric"])
+            for m, K, alpha, eta in grid:
+                rep = profiles.symmetric_family_report(profiles.TypeA(
+                    m=int(m), K=float(K), alpha=float(alpha), eta=float(eta)))
+                writer.writerow([int(m), repr(float(K)), repr(float(alpha)),
+                                 repr(float(eta)), int(rep.found),
+                                 int(rep.boundary_ok), int(rep.symmetric)])
+    except SkrpError as exc:
+        raise ConfigError(f"sweep: {exc}") from None
     return buf.getvalue()
 
 

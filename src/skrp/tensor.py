@@ -100,23 +100,18 @@ class Stencil:
     W: np.ndarray
     pair: Optional[np.ndarray]
 
-    def apply(self, vals: np.ndarray, h: float, center: bool = True):
-        """Partials from values on a batch of clouds, (B, P, ...) or, with
-        ``center=False``, (B, P - 1, ...) without the center point (first
-        order only: it carries no first-order weight).  Returns first
+    def apply(self, vals: np.ndarray, h: float):
+        """Partials from values on a batch of clouds, (B, P, ...): first
         partials (B, n, ...) and second partials (B, n, n, ...) or None.
 
         Every row of W sums to zero, so the center value is subtracted
         first: differences keep the roundoff small, and a constant has
         exactly zero partials.
         """
-        W = self.W if center else self.W[:, 1:]
         B, n = len(vals), self.codes.shape[1]
         trail = vals.shape[2:]
-        vals = vals.reshape(B, W.shape[1], -1)
-        if center:
-            vals = vals - vals[:, :1]
-        out = W @ vals
+        vals = vals.reshape(B, len(self.codes), -1)
+        out = self.W @ (vals - vals[:, :1])
         d1 = (out[:, :n] / h).reshape((B, n) + trail)
         if self.pair is None:
             return d1, None
@@ -171,22 +166,20 @@ def stencil(n: int, richardson: bool, second: bool) -> Stencil:
 
 
 def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
-             second: bool, domain: Optional[Callable] = None,
-             value: bool = True):
+             second: bool, domain: Optional[Callable] = None):
     """Values at x, first and second partials of a vectorized ``fn`` at a
-    batch of points x (B, n), as (value or None, d1, d2 or None).
+    batch of points x (B, n), as (value, d1, d2 or None).
 
-    The clouds are evaluated in chunks of about CHUNK_POINTS stencil
-    points.  With ``domain`` given, a cloud that leaves the domain raises
-    StencilOutOfDomain naming its point.  A first-order call without
-    ``value`` leaves the center point out of the cloud.
+    The one place where a stencil cloud is built, checked against
+    ``domain`` (a cloud that leaves it raises StencilOutOfDomain naming its
+    point) and reduced by W.  Every cloud keeps its center, the value at x.
+    The clouds are evaluated in chunks of about CHUNK_POINTS points.
     """
     if x.ndim != 2:
         raise SkrpError(f"points must have shape (B, n), got {x.shape}")
     B, n = x.shape
     op = stencil(n, richardson, second)
-    center = value or second
-    offsets = (op.codes if center else op.codes[1:]) * (0.5 * h)
+    offsets = op.codes * (0.5 * h)
     P = len(offsets)
     per = max(1, CHUNK_POINTS // P)
     values, d1s, d2s = [], [], []
@@ -195,20 +188,18 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
         pts = (xb[:, None, :] + offsets).reshape(-1, n)
         if domain is not None:
             inside = np.asarray(domain(pts), dtype=bool).reshape(len(xb), P)
-            left = ~np.all(inside, axis=1)
-            if np.any(left):
-                k = int(np.argmax(left))
+            if not inside.all():
+                k = int(np.argmin(inside.all(axis=1)))
                 raise StencilOutOfDomain(
                     f"{int(np.sum(~inside[k]))} stencil points leave the "
                     f"domain around point {lo + k} at {xb[k].tolist()}")
         vals = np.asarray(fn(pts))
         vals = vals.reshape((len(xb), P) + vals.shape[1:])
-        if value:
-            values.append(vals[:, 0].copy())    # not a view of the chunk
-        d1, d2 = op.apply(vals, h, center)
+        values.append(vals[:, 0].copy())    # not a view of the chunk
+        d1, d2 = op.apply(vals, h)
         d1s.append(d1)
         d2s.append(d2)
-    return (np.concatenate(values) if value else None, np.concatenate(d1s),
+    return (np.concatenate(values), np.concatenate(d1s),
             np.concatenate(d2s) if second else None)
 
 
@@ -361,7 +352,7 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
     _, dphi, d2phi = partials(chart.phi, x, fd.h, fd.richardson, True,
-                              domain=chart.domain, value=False)
+                              domain=chart.domain)
     hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
@@ -373,10 +364,8 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
 
 def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
                        fd: FDConfig) -> np.ndarray:
-    """Euclidean gradient (B, n) of a scalar function at a batch of points.
-
-    The cloud keeps its center, so that the taps enter as differences from
-    the center value."""
+    """Euclidean gradient (B, n) of a scalar function at a batch of points,
+    from one ``partials`` call with no domain check."""
     return partials(fn, np.asarray(pts, dtype=float), fd.h, fd.richardson,
                     False)[1]
 
@@ -389,7 +378,8 @@ def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
 class GeodesicPath:
     """Sampled geodesics, one sample every RECORD_EVERY RK4 steps: s has
     shape (S,), x and v have shape (B, S, n), S = n_steps // RECORD_EVERY
-    + 1; ``alive`` marks paths that stayed in the domain."""
+    + 1.  ``alive`` (B,) is all True, since a ray that leaves the domain
+    raises; ``perfbench/spans.py`` still counts paths by it."""
 
     s: np.ndarray
     x: np.ndarray
@@ -398,38 +388,21 @@ class GeodesicPath:
 
 
 def _geodesic_acceleration(chart: ChartMetric, x: np.ndarray, v: np.ndarray,
-                           fd: FDConfig) -> tuple[np.ndarray, np.ndarray]:
+                           fd: FDConfig) -> np.ndarray:
     """Geodesic accelerations a = -gamma(v, v) (B, n) at points x with
-    velocities v (B, n), and the mask (B,) of points whose first-order
-    stencil cloud stays in the domain; a is zero at the others.
+    velocities v (B, n), from one first-order ``partials`` call on the
+    metric, which raises StencilOutOfDomain for a cloud leaving the domain.
 
-    One ``chart.domain`` and one ``chart.g`` call on the clouds.  The metric
-    partials are contracted with v, r_l = (d_v g)_{lj} v^j - 1/2 d_l g(v, v),
-    which is g_{lk} gamma^k(v, v), and g a = -r is solved: no Christoffel
-    tensor and no inverse metric are formed.
+    The metric partials are contracted with v, r_l = (d_v g)_{lj} v^j
+    - 1/2 d_l g(v, v), which is g_{lk} gamma^k(v, v), and g a = -r is
+    solved: no Christoffel tensor and no inverse metric are formed.
     """
-    B, n = x.shape
-    op = stencil(n, fd.richardson, False)
-    P = len(op.codes)
-    pts = (x[:, None, :] + op.codes * (0.5 * fd.h)).reshape(-1, n)
-    ok = np.all(np.asarray(chart.domain(pts), dtype=bool).reshape(B, P),
-                axis=1)
-    whole = ok.all()
-    if not whole:
-        if not ok.any():
-            return np.zeros_like(x), ok
-        pts = pts.reshape(B, P, n)[ok].reshape(-1, n)
-        v = v[ok]
-    vals = np.asarray(chart.g(pts)).reshape(-1, P, n, n)
+    g, dg, _ = partials(chart.g, x, fd.h, fd.richardson, False,
+                        domain=chart.domain)
     # dgv[b, l, j] = (d_l g)_{jk} v^k
-    dgv = (op.apply(vals, fd.h)[0] @ v[:, None, :, None])[..., 0]
+    dgv = (dg @ v[:, None, :, None])[..., 0]
     r = (v[:, None, :] @ dgv)[:, 0] - 0.5 * (dgv @ v[:, :, None])[..., 0]
-    a = -np.linalg.solve(vals[:, 0], r[..., None])[..., 0]
-    if whole:
-        return a, ok
-    acc = np.zeros_like(x)
-    acc[ok] = a
-    return acc, ok
+    return -np.linalg.solve(g, r[..., None])[..., 0]
 
 
 def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
@@ -439,11 +412,11 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     initial conditions x0, w0 (B, n); w0 is normalized to unit g-length
     internally.  ``n_steps`` must be a positive multiple of RECORD_EVERY,
     so that the last sample is the end of the path.  Each RK4 stage is one
-    ``_geodesic_acceleration`` call on the rays still alive.
+    ``_geodesic_acceleration`` call on the whole batch.
 
-    Integration of a path stops (it is marked not alive) once any stencil
-    it needs leaves the chart domain; recorded samples after that hold the
-    last valid state.
+    A ray whose stencil cloud leaves the chart domain raises
+    StencilOutOfDomain at the first stage where it does, naming its index
+    in the batch; no ray is frozen or dropped, so ``alive`` is all True.
     """
     x0 = np.asarray(x0, dtype=float).copy()
     w0 = np.asarray(w0, dtype=float).copy()
@@ -459,7 +432,6 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     v = w0 / norms[:, None]
     x = x0
     hstep = s_max / n_steps
-    alive = np.ones(B, dtype=bool)
 
     n_rec = n_steps // RECORD_EVERY
     xs = np.empty((B, n_rec + 1, n))
@@ -467,32 +439,20 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     ss = np.arange(0, n_steps + 1, RECORD_EVERY) * hstep
     xs[:, 0], vs[:, 0] = x, v
 
-    def stage(xb, vb, alive):
-        if alive.all():
-            return _geodesic_acceleration(chart, xb, vb, fd)
-        acc = np.zeros_like(xb)
-        idx = np.flatnonzero(alive)
-        if len(idx):
-            acc[idx], ok = _geodesic_acceleration(chart, xb[idx], vb[idx], fd)
-            alive = alive.copy()
-            alive[idx[~ok]] = False
-        return acc, alive
-
     half = 0.5 * hstep
     for step in range(1, n_steps + 1):
-        k1, alive = stage(x, v, alive)
+        k1 = _geodesic_acceleration(chart, x, v, fd)
         v2 = v + half * k1
-        k2, alive = stage(x + half * v, v2, alive)
+        k2 = _geodesic_acceleration(chart, x + half * v, v2, fd)
         v3 = v + half * k2
-        k3, alive = stage(x + half * v2, v3, alive)
+        k3 = _geodesic_acceleration(chart, x + half * v2, v3, fd)
         v4 = v + hstep * k3
-        k4, alive = stage(x + hstep * v3, v4, alive)
-        m = alive[:, None]
-        x, v = (np.where(m, x + hstep / 6.0 * (v + 2 * v2 + 2 * v3 + v4), x),
-                np.where(m, v + hstep / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), v))
+        k4 = _geodesic_acceleration(chart, x + hstep * v3, v4, fd)
+        x = x + hstep / 6.0 * (v + 2 * v2 + 2 * v3 + v4)
+        v = v + hstep / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if step % RECORD_EVERY == 0:
             xs[:, step // RECORD_EVERY], vs[:, step // RECORD_EVERY] = x, v
-    return GeodesicPath(s=ss, x=xs, v=vs, alive=alive)
+    return GeodesicPath(s=ss, x=xs, v=vs, alive=np.ones(B, dtype=bool))
 
 
 # ---------------------------------------------------------------------------

@@ -95,6 +95,26 @@ BAD_INPUTS = {
     "find_interval_no_root": ("verify", patched(SHELL_CONFIG, "profile", {
         "family": "polynomial", "coeffs": [1.0, 0.0, 1.0],
         "find_interval": {"seed": 0.0}})),
+    # json writes and reads these as Infinity and NaN.
+    "fd_h_infinite": ("verify", patched(SHELL_CONFIG, "fd",
+                                        {"h": math.inf})),
+    "tolerance_nan": ("verify", patched(SHELL_CONFIG, "checks.0.tolerance",
+                                        math.nan)),
+    "profile_K_infinite": ("verify", patched(SHELL_CONFIG, "profile.K",
+                                             math.inf)),
+    "distance_expected_nan": ("verify", patched(
+        SPHERE_CONFIG, "checks.2.expected", math.nan)),
+    "verify_seed_negative": ("verify", patched(SHELL_CONFIG, "seed", -3)),
+    "build_seed_negative": ("build", patched(SHELL_CONFIG, "seed", -3)),
+    "sweep_k_fraction": ("sweep", {"sweep": {"kind": "slope_poly",
+                                             "k": [2.5, 3.9]}}),
+    "sweep_m_fraction": ("sweep", {"sweep": {
+        "kind": "type_a_admissible", "m": {"start": 2, "stop": 3,
+                                           "num": 3}}}),
+    "sweep_k_below_two": ("sweep", {"sweep": {"kind": "slope_poly",
+                                              "k": [1]}}),
+    "sweep_m_below_two": ("sweep", {"sweep": {"kind": "type_a_admissible",
+                                              "m": [1]}}),
 }
 
 
@@ -278,7 +298,8 @@ class TestRunConfig:
                          "--out", str(out)]) == 1
         text = out.read_text()
         assert ("residual=inf tolerance=1e-05 pass=false note=error "
-                "StencilOutOfDomain: 16 of 16 fan rays") in text
+                "StencilOutOfDomain: ") in text
+        assert "stencil points leave the domain around point" in text
         assert "summary: pass=0 fail=1 exit=1" in text
 
 
@@ -319,6 +340,14 @@ class TestSweeps:
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             cli.run_sweep({"sweep": {"kind": "mystery"}})
+
+    def test_whole_float_axis(self):
+        # A linspace axis of whole floats is a valid integer axis.
+        config = {"sweep": {"kind": "slope_poly",
+                            "k": {"start": 2, "stop": 10, "num": 9},
+                            "beta": [0.5]}}
+        rows = list(csv.DictReader(io.StringIO(cli.run_sweep(config))))
+        assert [row["k"] for row in rows] == [str(k) for k in range(2, 11)]
 
 
 class TestRendering:
@@ -387,6 +416,22 @@ class TestMainEntry:
         out = tmp_path / "out.txt"
         assert cli.main([command, "--config", str(cfg),
                          "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command, flags", [
+        ("verify", ["--tol-scale", "nan"]), ("verify", ["--tol-scale", "0"]),
+        ("verify", ["--tol-scale", "-1"]), ("verify", ["--seed", "-1"]),
+        ("build", ["--seed", "-1"])], ids=[
+        "tol_scale_nan", "tol_scale_zero", "tol_scale_negative",
+        "verify_seed_negative", "build_seed_negative"])
+    def test_bad_flag_exit_two(self, command, flags, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SHELL_CONFIG))
+        out = tmp_path / "out.txt"
+        assert cli.main([command, "--config", str(cfg), "--out", str(out),
+                         *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert "Traceback" not in err
