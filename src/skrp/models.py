@@ -29,6 +29,11 @@ _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
 # Bound on |log r| of a shell or annulus chart, around the anchor radius 1.
 LOGR_HALFWIDTH = 1.5
 
+# Metric entries per block of the shell metric kernel (1024 points at
+# n = 4, 256 at n = 8): one block covers a geodesic stage's cloud, and the
+# block temporaries stay small beside a large batch's output.
+_G_BLOCK = 16384
+
 
 def standard_J(m: int) -> np.ndarray:
     """Block-diagonal complex structure pairing coordinates (2j, 2j+1)."""
@@ -151,25 +156,34 @@ def _radial_chart(profile: Profile, a: float, m: int, theta_h_fn,
         if m == 1:
             out[:] = theta_v[:, None, None] * np.eye(2)[None]
             return out
-        # theta_h I + (theta_v - theta_h) / r^2 (x x^T + Jx Jx^T), built in
-        # the output row by row: entry (i, j) sums the same two products in
-        # the same order as entry (j, i), so the result is exactly symmetric.
+        # theta_h I + (theta_v - theta_h) / r^2 (x x^T + Jx Jx^T), built
+        # with the point axis last, so the products run over whole blocks
+        # of points, and written transposed into the output.  Entry (i, j)
+        # sums the same two products in the same order as entry (j, i), so
+        # the result is exactly symmetric.
         theta_h = theta_h_fn(phi, r2)
-        jx = pts @ J.T
-        for i in range(n):
-            row = pts[:, i, None] * pts
-            row += jx[:, i, None] * jx
-            out[:, i] = row
-        out *= ((theta_v - theta_h) / r2)[:, None, None]
-        out.reshape(len(pts), n * n)[:, ::n + 1] += theta_h[:, None]
+        scale = (theta_v - theta_h) / r2
+        xt = np.ascontiguousarray(pts.T)
+        per = max(1, _G_BLOCK // (n * n))
+        for k in range(0, len(pts), per):
+            blk_pts = slice(k, k + per)
+            x = xt[:, blk_pts]
+            jx = J @ x
+            blk = x[:, None] * x[None]
+            blk += jx[:, None] * jx[None]
+            blk *= scale[blk_pts]
+            blk.reshape(n * n, -1)[::n + 1] += theta_h[blk_pts]
+            out[blk_pts] = blk.transpose(2, 0, 1)
         return out
 
     def domain_fn(pts):
+        # r = 0 gives log r = -inf and a NaN coordinate gives NaN; both
+        # fail the comparisons, as does r = inf.
         pts = np.asarray(pts, dtype=float)
         r2 = np.einsum("bi,bi->b", pts, pts)
-        good = r2 > 0
-        logr = np.where(good, 0.5 * np.log(np.where(good, r2, 1.0)), -np.inf)
-        return good & (logr > lr_lo - pad_lo) & (logr < lr_hi + pad_hi)
+        with np.errstate(divide="ignore"):
+            logr = 0.5 * np.log(r2)
+        return (logr > lr_lo - pad_lo) & (logr < lr_hi + pad_hi)
 
     meta = {"a": a, "m": m, "profile": profile, "table": table,
             "r_range": (math.exp(lr_lo), math.exp(lr_hi)),

@@ -139,6 +139,18 @@ ProfileSpec = Quadratic | TypeA | TypeB | TypeC | Polynomial | Custom
 # Closed-form building blocks
 # ---------------------------------------------------------------------------
 
+def _horner(x, coeffs):
+    """sum_k coeffs[k] x^k by Horner's scheme, in the operation order of
+    ``numpy.polynomial.polynomial.polyval`` (c[-1] + x*0, then
+    c[k] + out*x), so its result equals polyval's bit for bit and has the
+    same type, without polyval's per-call coefficient handling."""
+    c = np.asarray(coeffs, dtype=float)
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
+
+
 def rational_basis(m: int, t):
     """Basis pair (F, E) of the rational profile family.
 
@@ -152,7 +164,7 @@ def rational_basis(m: int, t):
     if np.any(t_arr == 1.0):
         raise PoleAtOne("F(t) has a pole at t = 1")
     coeffs = _e_inner_coeffs(m)
-    inner = npoly.polyval(t_arr, coeffs)
+    inner = _horner(t_arr, coeffs)
     E = (t_arr - 1.0) * inner
     F = (t_arr - 2.0) * t_arr ** (2 * m - 1) / (t_arr - 1.0) ** m
     if np.isscalar(t) or t_arr.ndim == 0:
@@ -184,9 +196,9 @@ def slope_constraint_poly(k: int, beta: float) -> tuple[float, float]:
     coeffs[k] = -(k + 1.0)
     coeffs[1] = k + 1.0
     coeffs[0] = -(k - 1.0)
-    f = float(npoly.polyval(beta, coeffs))
+    f = float(_horner(beta, coeffs))
     pi_coeffs = np.array([j * (k - j) for j in range(1, k)], dtype=float)
-    pi = float(npoly.polyval(beta, pi_coeffs))
+    pi = float(_horner(beta, pi_coeffs))
     residual = abs(f - (beta - 1.0) ** 3 * pi)
     return f, residual
 
@@ -211,9 +223,9 @@ def _poly_evaluators(coeffs: np.ndarray) -> _Evaluators:
     c1 = npoly.polyder(c0)
     c2 = npoly.polyder(c1)
     return _Evaluators(
-        lambda p: npoly.polyval(np.asarray(p, dtype=float), c0),
-        lambda p: npoly.polyval(np.asarray(p, dtype=float), c1),
-        lambda p: npoly.polyval(np.asarray(p, dtype=float), c2),
+        lambda p: _horner(np.asarray(p, dtype=float), c0),
+        lambda p: _horner(np.asarray(p, dtype=float), c1),
+        lambda p: _horner(np.asarray(p, dtype=float), c2),
     )
 
 
@@ -232,29 +244,29 @@ def _type_c_evaluators(spec: TypeC) -> _Evaluators:
     n2 = npoly.polyder(n1)
 
     def q_t(t):
-        val = npoly.polyval(t, p_poly)
+        val = _horner(t, p_poly)
         if C != 0.0:
-            val = val + C * npoly.polyval(t, n_poly) * (t - 1.0) ** (1 - m)
+            val = val + C * _horner(t, n_poly) * (t - 1.0) ** (1 - m)
         return val
 
     def dq_t(t):
-        val = npoly.polyval(t, p1)
+        val = _horner(t, p1)
         if C != 0.0:
             u = (t - 1.0) ** (1 - m)
             v = (t - 1.0) ** (-m)
-            val = val + C * (npoly.polyval(t, n1) * u
-                             + (1 - m) * npoly.polyval(t, n_poly) * v)
+            val = val + C * (_horner(t, n1) * u
+                             + (1 - m) * _horner(t, n_poly) * v)
         return val
 
     def d2q_t(t):
-        val = npoly.polyval(t, p2)
+        val = _horner(t, p2)
         if C != 0.0:
             u = (t - 1.0) ** (1 - m)
             v = (t - 1.0) ** (-m)
             w = (t - 1.0) ** (-m - 1)
-            val = val + C * (npoly.polyval(t, n2) * u
-                             + 2 * (1 - m) * npoly.polyval(t, n1) * v
-                             - m * (1 - m) * npoly.polyval(t, n_poly) * w)
+            val = val + C * (_horner(t, n2) * u
+                             + 2 * (1 - m) * _horner(t, n1) * v
+                             - m * (1 - m) * _horner(t, n_poly) * w)
         return val
 
     def q(p):
@@ -661,9 +673,9 @@ def soliton_profile(m: int, p: float, s0: float, kappa: float, eps: int,
                                 * p ** (j + 1))
     u, u_a = nodes - c, phi_a - c
     with np.errstate(over="ignore", invalid="ignore"):
-        values = ((u_a ** (m - 1) * q_a + npoly.polyval(u_a, s_coeffs))
+        values = ((u_a ** (m - 1) * q_a + _horner(u_a, s_coeffs))
                   * np.exp((u - u_a) / p)
-                  - npoly.polyval(u, s_coeffs)) / u ** (m - 1)
+                  - _horner(u, s_coeffs)) / u ** (m - 1)
     values[i_a] = q_a
     if not np.all(np.isfinite(values)):
         raise SolutionNonPositive("Q overflows on the range: |range / p| "

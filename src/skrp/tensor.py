@@ -199,8 +199,11 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
         d1, d2 = op.apply(vals, h)
         d1s.append(d1)
         d2s.append(d2)
-    return (np.concatenate(values), np.concatenate(d1s),
-            np.concatenate(d2s) if second else None)
+
+    def join(parts):    # a single chunk needs no copy
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    return join(values), join(d1s), join(d2s) if second else None
 
 
 def _amax(a: np.ndarray) -> np.ndarray:

@@ -507,9 +507,8 @@ def shell_normal_geodesics(chart: ChartMetric, fd: FDConfig, n_fan: int = 16,
     r_lo, r_hi = chart.meta["r_range"]
     r_in = r_lo * (r_hi / r_lo) ** 0.18
     r_out = r_lo * (r_hi / r_lo) ** 0.82
-    phi_in = float(table.phi_of_r(r_in))
-    phi_out = float(table.phi_of_r(r_out))
-    s_max = abs(float(table.s_of_phi(phi_out)) - float(table.s_of_phi(phi_in)))
+    s_in, s_out = table.s_of_phi(table.phi_of_r([r_in, r_out]))
+    s_max = abs(float(s_out - s_in))
     _, dres, gres = _fan(chart, r_in, s_max, fd, n_fan, n_steps)
     return NormalGeodesicReport(dphids_res=dres, gauss_res=gres,
                                 distance_vs_L=None)

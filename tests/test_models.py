@@ -104,6 +104,105 @@ class TestShell:
                              c=0.0)   # c inside the phi window
 
 
+def _row_by_row_metric(chart, pts):
+    """A shell chart's metric theta_h I + (theta_v - theta_h) / r^2
+    (x x^T + Jx Jx^T) built in the output row by row, points first: the
+    reference the blocked kernel must match bit for bit."""
+    a, c, m = chart.meta["a"], chart.meta["c"], chart.meta["m"]
+    n = 2 * m
+    r2 = np.einsum("bi,bi->b", pts, pts)
+    phi = chart.phi(pts)
+    theta_v = np.asarray(chart.meta["profile"].q(phi)) / (a * a * r2)
+    theta_h = 2.0 * np.abs(phi - c) / (abs(a) * r2)
+    out = np.empty((len(pts), n, n))
+    jx = pts @ chart.J.T
+    for i in range(n):
+        row = pts[:, i, None] * pts
+        row += jx[:, i, None] * jx
+        out[:, i] = row
+    out *= ((theta_v - theta_h) / r2)[:, None, None]
+    out.reshape(len(pts), n * n)[:, ::n + 1] += theta_h[:, None]
+    return out
+
+
+def _where_domain(pts, lo, hi):
+    """The radial domain predicate in its two-``where`` form."""
+    r2 = np.einsum("bi,bi->b", pts, pts)
+    good = r2 > 0
+    logr = np.where(good, 0.5 * np.log(np.where(good, r2, 1.0)), -np.inf)
+    return good & (logr > lo) & (logr < hi)
+
+
+class TestShellKernel:
+    """The blocked, point-axis-last shell metric and the radial domain
+    against their direct forms: same bits, signed zeros included."""
+
+    SPECS = ({"a": 1.0, "eps": 1, "c": -2.0}, {"a": -1.5, "eps": -1, "c": 2.0})
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_metric_matches_row_by_row(self, m, quadratic_profile):
+        rng = np.random.default_rng(m)
+        block = models._G_BLOCK // (2 * m) ** 2
+        for kw in self.SPECS:
+            chart = models.build_shell(models.ShellSpec(
+                m=m, profile=quadratic_profile, **kw))
+            for count in (1, block - 1, block, block + 1, 3332):
+                pts = models.sample_points(chart, count, seed=count)
+                # Zero (and negative-zero) coordinates, at the same radius;
+                # one coordinate of each point stays nonzero.
+                r = np.linalg.norm(pts, axis=1)
+                zero = rng.random(pts.shape) < 0.4
+                zero[np.arange(count), rng.integers(2 * m, size=count)] = False
+                pts[zero] = np.where(rng.random(int(zero.sum())) < 0.5,
+                                     0.0, -0.0)
+                pts *= (r / np.linalg.norm(pts, axis=1))[:, None]
+                g = chart.g(pts)
+                ref = _row_by_row_metric(chart, pts)
+                assert np.array_equal(g, ref)
+                assert np.array_equal(np.signbit(g), np.signbit(ref))
+                assert np.array_equal(g, g.swapaxes(1, 2))
+
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_domain_matches_where_form(self, m, quadratic_profile):
+        chart = models.build_shell(models.ShellSpec(
+            m=m, profile=quadratic_profile, a=1.0, eps=1, c=-2.0))
+        fn = chart.domain
+        cell = dict(zip(fn.__code__.co_freevars,
+                        (c.cell_contents for c in fn.__closure__)))
+        lo = cell["lr_lo"] - cell["pad_lo"]
+        hi = cell["lr_hi"] + cell["pad_hi"]
+        n = 2 * m
+        rows = []
+        for edge in (lo, hi):
+            # Radii stepping ulp by ulp across exp(edge), along an axis and
+            # along a diagonal.
+            r = math.exp(edge)
+            for _ in range(6):
+                r = math.nextafter(r, 0.0)
+            for _ in range(13):
+                rows.append(np.eye(n)[0] * r)
+                rows.append(np.full(n, r / math.sqrt(n)))
+                r = math.nextafter(r, math.inf)
+        pts = np.array(rows)
+        special = np.zeros((6, n))
+        special[1] = -0.0
+        special[2, 1] = np.nan
+        special[3, 0] = np.inf
+        special[4, :2] = (-np.inf, 0.5)
+        special[5, :2] = (np.inf, np.nan)
+        pts = np.vstack([pts, special, models.sample_points(chart, 50, 1)])
+        with np.errstate(all="raise"):
+            got = fn(pts)
+        ref = _where_domain(pts, lo, hi)
+        assert got.dtype == bool
+        assert np.array_equal(got, ref)
+        assert not got[-56:-50].any() and got[-50:].all()
+        # Each edge is crossed within the ulp ladder, on both rows.
+        ladder = ref[:-56].reshape(2, 13, 2)
+        assert ladder[0].any() and not ladder[0].all()
+        assert ladder[1].any() and not ladder[1].all()
+
+
 class TestAnnulus:
     def test_conformal_factor_positive(self, annulus_chart):
         pts = models.sample_points(annulus_chart, 1000, seed=2)

@@ -277,6 +277,56 @@ class TestExactDerivatives:
                         order, p, value, ref)
 
 
+class TestHorner:
+    """The Horner helper behind every polynomial in the module equals
+    numpy's polyval bit for bit, with the same result type, on Python
+    floats, 0-d arrays and 1-d arrays."""
+
+    INPUTS = (0.37, -1.2, np.array(0.37), np.array(-2.5),
+              np.array([-1.2, -0.4, 0.0, -0.0, 0.3, 0.95, 1.05, 2.4]))
+
+    @staticmethod
+    def same(got, ref):
+        assert type(got) is type(ref)
+        assert np.array_equal(got, ref)
+        assert np.array_equal(np.signbit(got), np.signbit(ref))
+
+    @pytest.mark.parametrize("coeffs", [(2.0,), (0.0, -1.0), (1.0, 0.2, 0.3),
+                                        (0.5, -1.0, 0.25, 2.0, -0.75)])
+    def test_equals_polyval(self, coeffs):
+        c = np.array(coeffs)
+        for x in self.INPUTS:
+            self.same(pf._horner(x, c), npoly.polyval(x, c))
+
+    @pytest.mark.parametrize("spec", DERIVATIVE_SPECS,
+                             ids=lambda s: repr(s).replace(" ", ""))
+    def test_family_evaluators(self, spec, monkeypatch):
+        ev = pf.family_evaluators(spec)
+        scale = getattr(spec, "c", 1.0)
+        inputs = [scale * x for x in self.INPUTS]
+        got = [[f(x) for x in inputs] for f in (ev.q, ev.dq, ev.d2q)]
+        monkeypatch.setattr(pf, "_horner", npoly.polyval)
+        ev = pf.family_evaluators(spec)
+        ref = [[f(x) for x in inputs] for f in (ev.q, ev.dq, ev.d2q)]
+        for g_row, r_row in zip(got, ref):
+            for g, r in zip(g_row, r_row):
+                self.same(g, r)
+
+    def test_module_polynomials(self, monkeypatch):
+        def evaluate():
+            sol = pf.soliton_profile(m=3, p=0.5, s0=0.3, kappa=4.0, eps=1,
+                                     c=0.0, anchor=(1.0, 0.5),
+                                     rng=(0.4, 2.2))
+            return ([pf.slope_constraint_poly(k, b) for k in (2, 5, 9)
+                     for b in (-1.7, 0.4, 1.0)]
+                    + [pf.rational_basis(3, t) for t in self.INPUTS]
+                    + [np.array(sol.spec.q)])
+        got = evaluate()
+        monkeypatch.setattr(pf, "_horner", npoly.polyval)
+        for g, r in zip(got, evaluate(), strict=True):
+            self.same(np.array(g), np.array(r))
+
+
 class TestSoliton:
     def test_ode_residual(self):
         prof = pf.soliton_profile(m=2, p=0.5, s0=0.3, kappa=4.0, eps=1,
