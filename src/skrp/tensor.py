@@ -9,15 +9,22 @@ one-level Richardson extrapolation, also at h/2) and a unit-step weight
 matrix W of shape (n + n(n+1)/2, P): one row per first partial, one per
 second partial, with the Richardson combination folded in.  With Richardson
 the second-order cloud holds P = 1 + 6n + 12 n(n-1)/2 points (97 / 217 / 385
-at n = 4 / 6 / 8), without it 1 + 4n + 8 n(n-1)/2.
+at n = 4 / 6 / 8), without it 1 + 4n + 8 n(n-1)/2.  It is ordered as the
+center, the axis points, then one block per coordinate plane, so W is block
+sparse (440 of its 44 x 385 entries are nonzero at n = 8): the first and
+pure second partials read only the center and axis points, and every mixed
+partial applies the same weight vector to its own plane's block.
 Operators are built on first use and cached per (n, richardson, second).
 
 Every function below takes a batch of points with points as the leading
 axis, shape (B, n), and returns arrays with the point axis first; one point
 is a batch of one, shape (1, n).  The clouds of a batch go through the
 chart's vectorized callables in chunks of about CHUNK_POINTS stencil points,
-and each chunk is reduced to partials by one product ``W @ values`` before
-the next is evaluated, which bounds memory while keeping each call large.
+and each chunk is reduced to partials (``Stencil.apply``: the product
+``W @ values``, or for a second-order operator the products of W's nonzero
+blocks) before the next is evaluated, which bounds memory while keeping
+each call large.  The contractions of the metric jet and the curvature are
+batched matrix products over reshaped arrays.
 
 Curvature follows the sign convention
 
@@ -94,11 +101,23 @@ class ChartMetric:
 class Stencil:
     """Cloud offsets ``codes`` (P, n) in units of h/2, the center first, and
     unit-step weights ``W`` (D, P).  Rows 0..n-1 of W are d/dx_i; in a
-    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j."""
+    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j.
+
+    A second-order cloud is ordered as the center, the A - 1 axis points,
+    then one block of M points per coordinate plane i < j, every block in
+    the same local order.  ``W`` is block sparse in that order, and its
+    nonzero blocks are kept for ``apply``: ``Wa`` (2n, A) holds the rows
+    ``axis_rows`` (the first and pure second partials) on the center and
+    axis columns, and ``w_plane`` (M,) is the one weight vector every mixed
+    row ``mixed_rows[p]`` puts on its own plane's block p."""
 
     codes: np.ndarray
     W: np.ndarray
     pair: Optional[np.ndarray]
+    axis_rows: Optional[np.ndarray] = None
+    Wa: Optional[np.ndarray] = None
+    mixed_rows: Optional[np.ndarray] = None
+    w_plane: Optional[np.ndarray] = None
 
     def apply(self, vals: np.ndarray, h: float):
         """Partials from values on a batch of clouds, (B, P, ...): first
@@ -106,15 +125,21 @@ class Stencil:
 
         Every row of W sums to zero, so the center value is subtracted
         first: differences keep the roundoff small, and a constant has
-        exactly zero partials.
+        exactly zero partials.  A first-order operator is the product
+        ``W @ diff``; a second-order one applies only W's nonzero blocks.
         """
         B, n = len(vals), self.codes.shape[1]
         trail = vals.shape[2:]
         vals = vals.reshape(B, len(self.codes), -1)
-        out = self.W @ (vals - vals[:, :1])
-        d1 = (out[:, :n] / h).reshape((B, n) + trail)
+        diff = vals - vals[:, :1]
         if self.pair is None:
-            return d1, None
+            return (self.W @ diff / h).reshape((B, n) + trail), None
+        A, M, T = self.Wa.shape[1], len(self.w_plane), diff.shape[2]
+        out = np.empty((B, len(self.W), T))
+        out[:, self.axis_rows] = self.Wa @ diff[:, :A]
+        out[:, self.mixed_rows] = self.w_plane @ diff[:, A:].reshape(
+            B, len(self.mixed_rows), M, T)
+        d1 = (out[:, :n] / h).reshape((B, n) + trail)
         return d1, (out[:, self.pair] / (h * h)).reshape((B, n, n) + trail)
 
 
@@ -136,33 +161,53 @@ def stencil(n: int, richardson: bool, second: bool) -> Stencil:
             code[axis] += c
         taps.append((row, index.setdefault(tuple(code), len(index)), weight))
 
+    def d2_taps(row, i, j, s, coef):
+        # d2/dx_i^2 is D2 along e_i; d2/dx_i dx_j is a quarter of D2
+        # along e_i + e_j minus D2 along e_i - e_j (the centers cancel).
+        step = 0.5 * s
+        lines = [(1.0, 0)] if i == j else [(0.25, 1), (-0.25, -1)]
+        for frac, dj in lines:
+            for c, w in _D2:
+                tap(row, frac * coef * w / (12.0 * step * step),
+                    (i, c * s), (j, dj * c * s))
+
     levels = ((2, -1.0 / 15.0), (1, 16.0 / 15.0)) if richardson else ((2, 1.0),)
+    diag = [(row, i) for row, (i, j) in enumerate(pairs, start=n) if i == j]
+    mixed = [(row, i, j) for row, (i, j) in enumerate(pairs, start=n) if i < j]
+    # The first partials place the axis points after the center; the pure
+    # second partials use only those; then each plane adds its own block.
     for s, coef in levels:
         step = 0.5 * s      # in units of h
         for i in range(n):
             for c, w in _D1:
                 tap(i, coef * w / (12.0 * step), (i, c * s))
-        for row, (i, j) in enumerate(pairs, start=n):
-            # d2/dx_i^2 is D2 along e_i; d2/dx_i dx_j is a quarter of D2
-            # along e_i + e_j minus D2 along e_i - e_j (the centers cancel).
-            lines = [(1.0, 0)] if i == j else [(0.25, 1), (-0.25, -1)]
-            for frac, dj in lines:
-                for c, w in _D2:
-                    tap(row, frac * coef * w / (12.0 * step * step),
-                        (i, c * s), (j, dj * c * s))
+    for s, coef in levels:
+        for row, i in diag:
+            d2_taps(row, i, i, s, coef)
+    A = len(index)
+    for row, i, j in mixed:
+        for s, coef in levels:
+            d2_taps(row, i, j, s, coef)
     W = np.zeros((n + len(pairs), len(index)))
     for row, col, w in taps:
         W[row, col] += w
     codes = np.array(list(index), dtype=int).reshape(len(index), n)
-    pair = None
-    if second:
-        pair = np.empty((n, n), dtype=int)
-        for row, (i, j) in enumerate(pairs, start=n):
-            pair[i, j] = pair[j, i] = row
-        pair.flags.writeable = False
     W.flags.writeable = False
     codes.flags.writeable = False
-    return Stencil(codes=codes, W=W, pair=pair)
+    if not second:
+        return Stencil(codes=codes, W=W, pair=None)
+    pair = np.empty((n, n), dtype=int)
+    for row, (i, j) in enumerate(pairs, start=n):
+        pair[i, j] = pair[j, i] = row
+    axis_rows = np.concatenate([np.arange(n), np.diagonal(pair)])
+    mixed_rows = np.array([row for row, _, _ in mixed], dtype=int)
+    M = (len(index) - A) // len(mixed) if mixed else 0
+    Wa = W[axis_rows, :A]
+    w_plane = W[mixed_rows[0], A:A + M] if mixed else np.zeros(0)
+    for arr in (pair, axis_rows, mixed_rows, Wa, w_plane):
+        arr.flags.writeable = False
+    return Stencil(codes=codes, W=W, pair=pair, axis_rows=axis_rows, Wa=Wa,
+                   mixed_rows=mixed_rows, w_plane=w_plane)
 
 
 def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
@@ -250,7 +295,9 @@ def _bracket(dg: np.ndarray) -> np.ndarray:
 
 def _christoffel(ginv: np.ndarray, dg: np.ndarray) -> np.ndarray:
     """gamma[b, k, i, j] = 1/2 g^{kl} (d_i g_{jl} + d_j g_{il} - d_l g_{ij})."""
-    return 0.5 * np.einsum("bkl,bijl->bkij", ginv, _bracket(dg))
+    B, n = ginv.shape[:2]
+    br = _bracket(dg).reshape(B, n * n, n)
+    return 0.5 * (ginv @ br.swapaxes(1, 2)).reshape(B, n, n, n)
 
 
 def connection_coefficients(chart: ChartMetric, x, fd: FDConfig) -> np.ndarray:
@@ -267,9 +314,11 @@ def _dginv(jet: MetricJet) -> np.ndarray:
 def _gamma_partials(jet: MetricJet) -> np.ndarray:
     """dgamma[b, j, l, i, k] = partial_j gamma^l_{ik}, assembled
     analytically from the metric jet (no nested differencing)."""
-    return 0.5 * (np.einsum("bjlm,bikm->bjlik", _dginv(jet), _bracket(jet.dg))
-                  + np.einsum("blm,bjikm->bjlik", jet.ginv,
-                              _bracket(jet.d2g)))
+    B, n = jet.ginv.shape[:2]
+    br = _bracket(jet.dg).reshape(B, n * n, n).swapaxes(1, 2)
+    br2 = _bracket(jet.d2g).reshape(B, n, n * n, n).swapaxes(2, 3)
+    return 0.5 * ((_dginv(jet).reshape(B, n * n, n) @ br).reshape(B, n, n, n, n)
+                  + (jet.ginv[:, None] @ br2).reshape(B, n, n, n, n))
 
 
 @dataclass(frozen=True)
@@ -285,10 +334,14 @@ def curvature(chart: ChartMetric, x, fd: FDConfig) -> CurvatureTensors:
     jet = metric_jet(chart, x, fd, second=True)
     dgamma = _gamma_partials(jet)
     gamma = jet.gamma
+    B, n = gamma.shape[:2]
+    # gg[b, l, i, j, k] = gamma^l_{im} gamma^m_{jk}; the two quadratic terms
+    # are gg with i and j swapped, minus gg.
+    gg = (gamma.reshape(B, n * n, n)
+          @ gamma.reshape(B, n, n * n)).reshape(B, n, n, n, n)
     riemann = (np.einsum("bjlik->blijk", dgamma)
                - np.einsum("biljk->blijk", dgamma)
-               + np.einsum("bmik,bljm->blijk", gamma, gamma)
-               - np.einsum("bmjk,blim->blijk", gamma, gamma))
+               + gg.swapaxes(2, 3) - gg)
     # Ric(d_i, d_k) = R^j_{ijk}, the trace over l = j.
     ricci = np.einsum("bjijk->bik", riemann)
     ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))

@@ -33,8 +33,10 @@ from .tensor import (
     _amax,
     _batch_grad_scalar,
     _dginv,
+    _gamma_partials,
     curvature,
     geodesic_batch,
+    metric_jet,
     orthonormal_frame,
     partials,
     potential_derivatives,
@@ -237,6 +239,33 @@ def _dq(jet: MetricJet, pot: PotentialDerivatives) -> np.ndarray:
             + 2.0 * np.einsum("bil,bi->bl", pot.d2phi, pot.grad_phi))
 
 
+def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig, jet: MetricJet,
+        pot: PotentialDerivatives) -> np.ndarray:
+    """dY (B, n) of Y = g^{ij} H_ij, H = Hess(phi), from a second-order
+    metric jet and the potential derivatives at the points:
+
+        dY_l = partial_l g^{ij} H_ij
+               + g^{ij} (phi_ijl - partial_l gamma^k_ij phi_k
+                         - gamma^k_ij phi_kl).
+
+    Only the third partials phi_ijl nest: they are the first partials, at
+    step 9h with Richardson extrapolation, of the second partials of phi at
+    step 3h, so no metric is evaluated on the outer points.  The chart's
+    phi is a cubic spline in log r whose knots lie closer together than h,
+    so its third derivative jumps inside a stencil; the wide steps keep the
+    roundoff of the nested difference below its truncation error."""
+
+    def d2phi(pts):
+        return partials(chart.phi, pts, 3.0 * fd.h, fd.richardson, True,
+                        domain=chart.domain)[2]
+
+    phi3 = partials(d2phi, points, 9.0 * fd.h, True, False)[1]  # [b, l, i, j]
+    dh = (phi3 - np.einsum("blkij,bk->blij", _gamma_partials(jet), pot.dphi)
+          - np.einsum("bkij,bkl->blij", jet.gamma, pot.d2phi))
+    return (np.einsum("blij,bij->bl", _dginv(jet), pot.hess_phi)
+            + np.einsum("bij,blij->bl", jet.ginv, dh))
+
+
 def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     """Vectorized x -> Q(x) = g(grad phi, grad phi)(x), a gradient stencil
     at each point.  ``identity_report`` reads dQ from ``_dq`` instead; this
@@ -252,16 +281,11 @@ def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
 
 
 def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
-    """Vectorized x -> Y(x), the Laplacian of phi.
-
-    dY stays a nested difference of this field: a direct route needs third
-    partials of phi, and the chart's phi is a cubic spline in log r whose
-    knots (8192 over the window) lie closer together than h, so its third
-    derivative jumps inside a stencil.  On the quadratic shell the direct
-    route read 1e-5 to 6e-5 where the nested one reads 3.6e-7.  The same
-    jumps are why the inner step is widened to 3h and the outer one to 9h:
-    Y feeds an outer derivative downstream, so its roundoff floor matters
-    more than its truncation order.
+    """Vectorized x -> Y(x), the Laplacian of phi, from a first-order
+    metric cloud and a second-order phi cloud at step 3h around each point.
+    ``identity_report`` and ``conformal_einstein_report`` read dY from
+    ``_dy`` instead; this field, differenced by ``_outer_differential`` at
+    step 9h, is the nested reference for it.
     """
     fd_inner = FDConfig(h=3.0 * fd.h, richardson=fd.richardson)
 
@@ -291,7 +315,7 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     if eps in (-1, 1) and c is not None:
         ratio_res = _worst(np.abs(pot.Q - 2.0 * (phis - c) * sigma_h)
                            / (1.0 + np.abs(pot.Q)))
-    dy = _outer_differential(y_field(chart, fd), points, 9.0 * fd.h)
+    dy = _dy(chart, points, fd, sp.curv.jet, pot)
     dy_res = _worst(_amax(dy + 2.0 * mu[:, None] * pot.dphi)
                     / (1.0 + _amax(dy)))
     prof_res = None
@@ -374,8 +398,10 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
     rb = _frame_blocks(orthonormal_frame(curv.jet.g), curv.ricci)
     einstein_res = _worst(_amax(rb - lambdas[:, None, None] * np.eye(n))
                           / (1.0 + np.abs(lambdas)))
-    dphi = _batch_grad_scalar(chart, chart.phi, points, fd)
-    dy = _outer_differential(y_field(chart, fd), points, 9.0 * fd.h)
+    jet = metric_jet(chart, points, fd)
+    pot = potential_derivatives(chart, points, fd, jet=jet)
+    dphi = pot.dphi
+    dy = _dy(chart, points, fd, jet, pot)
     wedge = dphi[:, :, None] * dy[:, None, :] - dy[:, :, None] * dphi[:, None, :]
     scale = 1.0 + np.linalg.norm(dphi, axis=1) * np.linalg.norm(dy, axis=1)
     spread = float(np.max(lambdas) - np.min(lambdas)) / (

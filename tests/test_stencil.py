@@ -2,6 +2,7 @@
 invariance, domain errors, and parity with reference tensors."""
 
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,6 +156,102 @@ def test_operator_rows(n, richardson):
 
 def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
+
+
+@pytest.mark.parametrize("second", [True, False])
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_apply_matches_dense_product(n, richardson, second):
+    # The block apply of a second-order operator against the dense product
+    # that defines it; a first-order operator is that product.
+    op = tensor.stencil(n, richardson, second)
+    rng = np.random.default_rng(n)
+    P = len(op.codes)
+    for trail in ((), (n, n), (n * n,)):
+        vals = 1.0 + 1e-3 * rng.normal(size=(3, P) + trail)
+        flat = vals.reshape(3, P, -1)
+        dense = op.W @ (flat - flat[:, :1])
+        d1, d2 = op.apply(vals, 0.1)
+        want1 = (dense[:, :n] / 0.1).reshape((3, n) + trail)
+        if not second:
+            assert d2 is None and np.array_equal(d1, want1)
+            continue
+        want2 = (dense[:, op.pair] / 0.01).reshape((3, n, n) + trail)
+        assert _rel(d1, want1) <= 1e-13
+        assert _rel(d2, want2) <= 1e-13
+
+
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_block_layout(n, richardson):
+    # Center, axis points, then one block per plane i < j: the axis rows
+    # are zero on the plane columns, and each mixed row is the shared plane
+    # weight vector on its own block and zero elsewhere.
+    op = tensor.stencil(n, richardson, True)
+    A, M = op.Wa.shape[1], len(op.w_plane)
+    assert M == (12 if richardson else 8)
+    assert len(op.codes) == A + math.comb(n, 2) * M
+    assert np.array_equal(op.Wa, op.W[op.axis_rows, :A])
+    assert not np.any(op.W[op.axis_rows, A:])
+    assert np.all(np.count_nonzero(op.codes[1:A], axis=1) == 1)
+    planes = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for p, (row, (i, j)) in enumerate(zip(op.mixed_rows, planes)):
+        assert row == op.pair[i, j]
+        block = slice(A + p * M, A + (p + 1) * M)
+        want = np.zeros(len(op.codes))
+        want[block] = op.w_plane
+        assert np.array_equal(op.W[row], want)
+        assert not np.any(np.delete(op.codes[block], (i, j), axis=1))
+        assert np.array_equal(op.codes[block][:, (i, j)],
+                              op.codes[A:A + M][:, (0, 1)])
+
+
+def test_partials_memory(fd):
+    # One second-order metric cloud call at n = 8 holds the chart's values
+    # of one chunk, their differences from the center and the chart's own
+    # temporaries (2.98x one chunk measured).
+    quad = profiles.make_profile(profiles.Quadratic(K=1.0, phi0=1.0),
+                                 (-1.0, 1.0))
+    chart = models.build_shell(models.ShellSpec(m=4, profile=quad, a=1.0,
+                                                eps=1, c=-2.0))
+    x = models.sample_points(chart, 12, seed=3)
+    P = len(tensor.stencil(8, fd.richardson, True).codes)
+    chunk = max(1, tensor.CHUNK_POINTS // P) * P * 64 * 8
+    tensor.partials(chart.g, x, fd.h, fd.richardson, True,
+                    domain=chart.domain)     # builds the cached operator
+    tracemalloc.start()
+    try:
+        tensor.partials(chart.g, x, fd.h, fd.richardson, True,
+                        domain=chart.domain)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.1 * chunk
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_contractions_match_einsum(k, fd):
+    # The batched products of the Christoffel symbols, their partials and
+    # the Riemann tensor against their index forms, at n = 2, 4, 6, 8.
+    label, chart = parity_cases()[k]
+    pts = parity_points(chart, k)
+    curv = tensor.curvature(chart, pts, fd)
+    jet = curv.jet
+    gamma = 0.5 * np.einsum("bkl,bijl->bkij", jet.ginv,
+                            tensor._bracket(jet.dg))
+    dgamma = 0.5 * (np.einsum("bjlm,bikm->bjlik", tensor._dginv(jet),
+                              tensor._bracket(jet.dg))
+                    + np.einsum("blm,bjikm->bjlik", jet.ginv,
+                                tensor._bracket(jet.d2g)))
+    riemann = (np.einsum("bjlik->blijk", dgamma)
+               - np.einsum("biljk->blijk", dgamma)
+               + np.einsum("bmik,bljm->blijk", gamma, gamma)
+               - np.einsum("bmjk,blim->blijk", gamma, gamma))
+    assert chart.n == 2 * (k + 1), label
+    assert _rel(tensor._christoffel(jet.ginv, jet.dg), gamma) <= 1e-12
+    assert _rel(jet.gamma, gamma) <= 1e-12
+    assert _rel(tensor._gamma_partials(jet), dgamma) <= 1e-12
+    assert _rel(curv.riemann, riemann) <= 1e-12
 
 
 def test_batch_equals_single_points(shell_chart, fd):

@@ -169,6 +169,47 @@ class TestDirectDQ:
                                       fd).worst() < 1e-5
 
 
+class TestDirectDY:
+    """dY from the second-order metric jet, the potential derivatives and
+    the third partials of phi, with no metric on outer points."""
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_nested_reference(self, fd, family):
+        # Measured: the jet residual reads at most 6.8e-7 (type_b) and the
+        # gap to the nested dY at most 3.3e-6 of 1 + max|dY| (custom).
+        chart = family_shell(family)
+        x = models.sample_points(chart, 10, seed=3)
+        sp = verify._adapted_split(chart, x, fd)
+        dy = verify._dy(chart, x, fd, sp.curv.jet, sp.pot)
+        res = (np.max(np.abs(dy + 2.0 * sp.mu[:, None] * sp.pot.dphi), axis=1)
+               / (1.0 + np.max(np.abs(dy), axis=1)))
+        assert np.max(res) <= 1e-6
+        nested = verify._outer_differential(verify.y_field(chart, fd), x,
+                                            9.0 * fd.h)
+        assert np.max(np.abs(dy - nested)) <= 5e-6 * (1.0
+                                                      + np.max(np.abs(dy)))
+
+    @pytest.mark.parametrize("seed", [5, 6, 7])
+    def test_soliton_gradient_dy(self, pipeline, fd, seed):
+        # Measured: 1.0e-7 / 1.6e-7 / 9.0e-8; the nested dY read 1.6e-5 /
+        # 1.9e-5 / 2.2e-5, above the 1e-5 tolerance.
+        chart = pipeline[0]
+        pts = models.sample_points(chart, 20, seed)
+        assert verify.identity_report(chart, pts, fd).dy_res <= 1e-6
+
+    def test_no_nested_y_field(self, shell_chart, shell_points, matched_type_c,
+                               fd, monkeypatch):
+        def nested(*args, **kwargs):
+            raise AssertionError("a report differenced y_field")
+
+        monkeypatch.setattr(verify, "y_field", nested)
+        assert verify.identity_report(shell_chart, shell_points,
+                                      fd).worst() < 1e-5
+        pts = models.sample_points(matched_type_c, 12, seed=54)
+        rep = verify.conformal_einstein_report(matched_type_c, pts, fd)
+        assert rep.einstein_res < 1e-4 and rep.wedge_res < 1e-6
+
+
 class TestIdentityPropertySweep:
     def test_random_polynomial_profiles(self, fd):
         # Identities hold for every positive profile, not just the
