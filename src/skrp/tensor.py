@@ -392,6 +392,7 @@ def orthonormal_frame(g: np.ndarray, seeds: Optional[np.ndarray] = None
 
 @dataclass(frozen=True)
 class PotentialDerivatives:
+    phi: np.ndarray
     grad_phi: np.ndarray
     dphi: np.ndarray
     d2phi: np.ndarray       # d2phi[b, i, j] = partial_i partial_j phi
@@ -403,17 +404,17 @@ class PotentialDerivatives:
 def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
                           jet: Optional[MetricJet] = None
                           ) -> PotentialDerivatives:
-    """Gradient, covariant Hessian, Laplacian Y, and Q = g(grad, grad) of
-    the chart potential."""
+    """Value, gradient, covariant Hessian, Laplacian Y, and
+    Q = g(grad, grad) of the chart potential."""
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
-    _, dphi, d2phi = partials(chart.phi, x, fd.h, fd.richardson, True,
-                              domain=chart.domain)
+    phi, dphi, d2phi = partials(chart.phi, x, fd.h, fd.richardson, True,
+                                domain=chart.domain)
     hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
     return PotentialDerivatives(
-        grad_phi=grad, dphi=dphi, d2phi=d2phi, hess_phi=hess,
+        phi=phi, grad_phi=grad, dphi=dphi, d2phi=d2phi, hess_phi=hess,
         Y=np.einsum("bij,bij->b", jet.ginv, hess),
         Q=np.einsum("bi,bi->b", dphi, grad))
 

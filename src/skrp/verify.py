@@ -6,7 +6,9 @@ The eigenstructure identities (``skrp_report`` and ``identity_report``) all
 read one split per batch of points, ``_adapted_split``: the curvature, the
 potential derivatives, orthonormal frames seeded by grad phi and J grad phi,
 Hess(phi) and Ricci in those frames, and the eigenvalues tau, mu, sigma,
-lam read off them.
+lam read off them.  ``conformal_einstein_report`` reads the curvature of
+g/phi^2 from the same quantities through the conformal-change identity
+(``_conformal_curvature``), with no chart of g/phi^2.
 
 Every residual reported here is scale-normalized (the normalization is named
 in the docstring of the operation that produces it), so the default
@@ -36,7 +38,6 @@ from .tensor import (
     _gamma_partials,
     curvature,
     geodesic_batch,
-    metric_jet,
     orthonormal_frame,
     partials,
     potential_derivatives,
@@ -224,13 +225,6 @@ class IdentityReport:
         return max(vals)
 
 
-def _outer_differential(field_fn: Callable, points: np.ndarray,
-                        h: float) -> np.ndarray:
-    """Order-4 differentials (B, n) of a scalar field given as a batch
-    callable, from one ``partials`` call on 1 + 4n points per point."""
-    return partials(field_fn, points, h, False, False)[1]
-
-
 def _dq(jet: MetricJet, pot: PotentialDerivatives) -> np.ndarray:
     """dQ (B, n) of Q = g^{ij} phi_i phi_j from the metric jet and the
     coordinate second partials of phi, with no nested stencil:
@@ -269,8 +263,8 @@ def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig, jet: MetricJet,
 def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     """Vectorized x -> Q(x) = g(grad phi, grad phi)(x), a gradient stencil
     at each point.  ``identity_report`` reads dQ from ``_dq`` instead; this
-    field, differenced by ``_outer_differential``, is the nested reference
-    for it."""
+    field, differenced by a first-order ``partials`` call, is the nested
+    reference for it."""
 
     def qf(pts):
         gs = np.asarray(chart.g(pts))
@@ -284,8 +278,8 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     """Vectorized x -> Y(x), the Laplacian of phi, from a first-order
     metric cloud and a second-order phi cloud at step 3h around each point.
     ``identity_report`` and ``conformal_einstein_report`` read dY from
-    ``_dy`` instead; this field, differenced by ``_outer_differential`` at
-    step 9h, is the nested reference for it.
+    ``_dy`` instead; this field, differenced by a first-order ``partials``
+    call at step 9h, is the nested reference for it.
     """
     fd_inner = FDConfig(h=3.0 * fd.h, richardson=fd.richardson)
 
@@ -304,7 +298,6 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
 
     sp = _adapted_split(chart, points, fd)
     pot, tau, mu, sigma_h = sp.pot, sp.tau, sp.mu, sp.sigma_h
-    phis = np.asarray(chart.phi(points), dtype=float)
 
     dq = _dq(sp.curv.jet, pot)
     dq_res = _worst(_amax(dq - 2.0 * tau[:, None] * pot.dphi)
@@ -313,14 +306,14 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
                        / (1.0 + np.abs(pot.Y)))
     ratio_res = None
     if eps in (-1, 1) and c is not None:
-        ratio_res = _worst(np.abs(pot.Q - 2.0 * (phis - c) * sigma_h)
+        ratio_res = _worst(np.abs(pot.Q - 2.0 * (pot.phi - c) * sigma_h)
                            / (1.0 + np.abs(pot.Q)))
     dy = _dy(chart, points, fd, sp.curv.jet, pot)
     dy_res = _worst(_amax(dy + 2.0 * mu[:, None] * pot.dphi)
                     / (1.0 + _amax(dy)))
     prof_res = None
     if profile is not None:
-        dqdphi = np.asarray(profile.dq(phis), dtype=float)
+        dqdphi = np.asarray(profile.dq(pot.phi), dtype=float)
         prof_res = _worst(np.abs(2.0 * tau - dqdphi) / (1.0 + np.abs(dqdphi)))
     # (vi): lhs[b, i, j] = Q R(w_i, w_j) grad phi for the block rows w.
     g, v, block = sp.curv.jet.g, pot.grad_phi, sp.frame[:, 2:]
@@ -349,13 +342,16 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
 
 @dataclass(frozen=True)
 class ConformalEinsteinReport:
-    """Einstein residual of g/phi^2, its constant spread, and the wedge
+    """Einstein residual of g~ = g/phi^2, its constant spread, and the wedge
     residual of dphi with dY.
 
-    einstein_res: max frame-component deviation of Ric(g~) from its trace
-    part, normalized by (1 + |lambda~|); lambda_spread: spread of the
-    pointwise Einstein quotient normalized by (1 + median |lambda~|);
-    wedge_res: max component of dphi wedge dY over (1 + |dphi| |dY|).
+    Ric~ and scal~ come from the curvature of g itself through the
+    conformal-change identity (``_conformal_curvature``); no chart of g~ is
+    differenced.  einstein_res: max g~-frame-component deviation of Ric~
+    from its trace part lambda~ g~, lambda~ = scal~/n, normalized by
+    (1 + |lambda~|); lambda_spread: spread of lambda~ over the points
+    normalized by (1 + median |lambda~|); wedge_res: max component of
+    dphi wedge dY over (1 + |dphi| |dY|).
     """
 
     einstein_res: float
@@ -363,45 +359,47 @@ class ConformalEinsteinReport:
     wedge_res: float
 
 
-def conformal_chart(chart: ChartMetric, phi_floor: float) -> ChartMetric:
-    """The chart carrying g~ = g / phi^2 on the locus |phi| > phi_floor."""
+def _conformal_curvature(curv: CurvatureTensors, pot: PotentialDerivatives,
+                         phi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ricci tensor and scalar curvature of g~ = g/phi^2 where phi != 0,
+    from the curvature of g and the potential derivatives at the same
+    points (H = Hess phi, Y = tr_g H, Q = |dphi|^2_g):
 
-    def g_fn(pts):
-        phi = np.asarray(chart.phi(pts), dtype=float)
-        return np.asarray(chart.g(pts)) / (phi ** 2)[:, None, None]
-
-    def domain_fn(pts):
-        inside = np.asarray(chart.domain(pts), dtype=bool)
-        phi = np.asarray(chart.phi(pts), dtype=float)
-        return inside & (np.abs(phi) > phi_floor)
-
-    return ChartMetric(n=chart.n, g=g_fn, J=chart.J, phi=chart.phi,
-                       domain=domain_fn, meta=dict(chart.meta))
+        Ric~  = Ric + (n-2) H/phi + (Y/phi - (n-1) Q/phi^2) g,
+        scal~ = phi^2 scal + 2(n-1) phi Y - n(n-1) Q."""
+    n = curv.jet.g.shape[-1]
+    coeff = pot.Y / phi - (n - 1) * pot.Q / phi ** 2
+    ricci = (curv.ricci + (n - 2) * pot.hess_phi / phi[:, None, None]
+             + coeff[:, None, None] * curv.jet.g)
+    scalar = (phi ** 2 * curv.scalar + 2 * (n - 1) * phi * pot.Y
+              - n * (n - 1) * pot.Q)
+    return ricci, scalar
 
 
 def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
                               fd: FDConfig) -> ConformalEinsteinReport:
+    phis = np.asarray(chart.phi(points), dtype=float)
     profile: Optional[Profile] = chart.meta.get("profile")
     if profile is not None:
         phi_max = max(abs(profile.phi_min), abs(profile.phi_max))
     else:
-        phi_max = float(np.max(np.abs(chart.phi(points))))
+        phi_max = float(np.max(np.abs(phis)))
     floor = 0.1 * phi_max
-    phis = np.asarray(chart.phi(points), dtype=float)
     if np.any(np.abs(phis) <= floor):
         raise PhiNearZero(f"|phi| <= {floor} at a requested point")
-    tilde = conformal_chart(chart, 0.5 * floor)
     n = chart.n
 
-    curv = curvature(tilde, points, fd)
-    lambdas = curv.scalar / n
-    rb = _frame_blocks(orthonormal_frame(curv.jet.g), curv.ricci)
+    curv = curvature(chart, points, fd)
+    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    ricci, scalar = _conformal_curvature(curv, pot, phis)
+    lambdas = scalar / n
+    # A g~-orthonormal frame is |phi| times a g-orthonormal one.
+    rb = (phis ** 2)[:, None, None] * _frame_blocks(
+        orthonormal_frame(curv.jet.g), ricci)
     einstein_res = _worst(_amax(rb - lambdas[:, None, None] * np.eye(n))
                           / (1.0 + np.abs(lambdas)))
-    jet = metric_jet(chart, points, fd)
-    pot = potential_derivatives(chart, points, fd, jet=jet)
     dphi = pot.dphi
-    dy = _dy(chart, points, fd, jet, pot)
+    dy = _dy(chart, points, fd, curv.jet, pot)
     wedge = dphi[:, :, None] * dy[:, None, :] - dy[:, :, None] * dphi[:, None, :]
     scale = 1.0 + np.linalg.norm(dphi, axis=1) * np.linalg.norm(dy, axis=1)
     spread = float(np.max(lambdas) - np.min(lambdas)) / (
@@ -443,9 +441,8 @@ def _path_dphids_res(chart: ChartMetric, profile: Profile, sgn_a: float,
     dphi/ds = dphi(x) . v read off the recorded state; normalized per ray."""
     B, S, n = path.x.shape
     pts = path.x.reshape(-1, n)
-    dphi = _batch_grad_scalar(chart, chart.phi, pts, fd)
+    phis, dphi, _ = partials(chart.phi, pts, fd.h, fd.richardson, False)
     dphids = np.einsum("bi,bi->b", dphi, path.v.reshape(-1, n))
-    phis = np.asarray(chart.phi(pts), dtype=float)
     q = np.clip(np.asarray(profile.q(phis), dtype=float), 0.0, None)
     expect = (sgn_a * np.sqrt(q)).reshape(B, S)
     err = np.abs(dphids.reshape(B, S) - expect)

@@ -486,7 +486,8 @@ class TestMainEntry:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ["shell_quadratic", "sphere_k4"])
+    @pytest.mark.parametrize("name", ["shell_quadratic", "sphere_k4",
+                                      "conformal_type_c"])
     def test_shipped_config_passes(self, name, tmp_path):
         out = tmp_path / "report.txt"
         assert cli.main(["verify", "--config", str(CONFIGS / f"{name}.json"),

@@ -146,8 +146,8 @@ class TestDirectDQ:
         jet = tensor.metric_jet(chart, x, fd, second=False)
         dq = verify._dq(jet, tensor.potential_derivatives(chart, x, fd,
                                                           jet=jet))
-        nested = verify._outer_differential(verify.q_field(chart, fd), x,
-                                            3.0 * fd.h)
+        nested = tensor.partials(verify.q_field(chart, fd), x, 3.0 * fd.h,
+                                 False, False)[1]
         assert np.max(np.abs(dq - nested)) <= 5e-7 * (1.0
                                                        + np.max(np.abs(dq)))
 
@@ -184,8 +184,8 @@ class TestDirectDY:
         res = (np.max(np.abs(dy + 2.0 * sp.mu[:, None] * sp.pot.dphi), axis=1)
                / (1.0 + np.max(np.abs(dy), axis=1)))
         assert np.max(res) <= 1e-6
-        nested = verify._outer_differential(verify.y_field(chart, fd), x,
-                                            9.0 * fd.h)
+        nested = tensor.partials(verify.y_field(chart, fd), x, 9.0 * fd.h,
+                                 False, False)[1]
         assert np.max(np.abs(dy - nested)) <= 5e-6 * (1.0
                                                       + np.max(np.abs(dy)))
 
@@ -265,6 +265,75 @@ class TestConformalEinstein:
         pts = np.array([[0.1, 0.0, 1.0, 0.0]])   # |w| = 1 gives phi = 0
         with pytest.raises(PhiNearZero):
             verify.conformal_einstein_report(product_chart, pts, fd)
+
+
+def wrapper_conformal_chart(chart):
+    """The chart of g~ = g/phi^2 itself: differencing it is the reference
+    route to Ric~ and scal~."""
+
+    def g_fn(pts):
+        phi = np.asarray(chart.phi(pts), dtype=float)
+        return np.asarray(chart.g(pts)) / (phi ** 2)[:, None, None]
+
+    return dataclasses.replace(chart, g=g_fn)
+
+
+@pytest.fixture(scope="module")
+def generic_shell():
+    """A shell whose g/phi^2 is not Einstein (the chart of
+    ``test_generic_profile_fails``)."""
+    prof = profiles.make_profile(
+        profiles.Polynomial(coeffs=(0.8, 0.05, 0.3, -0.07)), (1.35, 2.55))
+    return models.build_shell(models.ShellSpec(
+        m=2, profile=prof, a=1.0, eps=1, c=1.0, phi_window=(1.5, 2.4)))
+
+
+class TestConformalCurvature:
+    """Ric~ and scal~ of g/phi^2 from the curvature of g and the potential
+    derivatives, through the conformal-change identity."""
+
+    @staticmethod
+    def tilde(chart, pts, fd):
+        curv = tensor.curvature(chart, pts, fd)
+        pot = tensor.potential_derivatives(chart, pts, fd, jet=curv.jet)
+        return verify._conformal_curvature(curv, pot, pot.phi)
+
+    @pytest.mark.parametrize("K,t", [(1.0, 1.0), (0.5, 2.0), (2.0, -0.7)])
+    def test_product_einstein_constant(self, fd, K, t):
+        # On H^2(-K) x S^2(K) with phi = t z: scal = 0, Y = -2 K phi and
+        # Q = K (t^2 - phi^2), so lambda~ = scal~/4 = -3 K t^2.
+        chart = models.build_product(models.ProductSpec(K=K, t=t))
+        pts = models.sample_points(chart, 12, seed=56)
+        _, scal = self.tilde(chart, pts, fd)
+        exact = -3.0 * K * t ** 2
+        assert np.max(np.abs(scal / 4.0 - exact)) <= 1e-6 * abs(exact)
+
+    @pytest.mark.parametrize("which", ["product_chart", "matched_type_c",
+                                       "generic_shell"])
+    def test_matches_wrapper_chart(self, fd, request, which):
+        chart = request.getfixturevalue(which)
+        pts = models.sample_points(chart, 12, seed=57)
+        ricci, scal = self.tilde(chart, pts, fd)
+        ref = tensor.curvature(wrapper_conformal_chart(chart), pts, fd)
+        assert (np.max(np.abs(ricci - ref.ricci))
+                <= 1e-7 * np.max(np.abs(ref.ricci)))
+        assert (np.max(np.abs(scal - ref.scalar))
+                <= 1e-7 * np.max(np.abs(ref.scalar)))
+
+    def test_one_metric_cloud(self, matched_type_c, fd):
+        # The report differences g on one second-order cloud per point and
+        # no chart of g/phi^2.
+        seen = []
+
+        def g_fn(pts):
+            seen.append(len(pts))
+            return matched_type_c.g(pts)
+
+        chart = dataclasses.replace(matched_type_c, g=g_fn)
+        pts = models.sample_points(chart, 6, seed=54)
+        verify.conformal_einstein_report(chart, pts, fd)
+        cloud = len(tensor.stencil(chart.n, fd.richardson, True).codes)
+        assert sum(seen) == len(pts) * cloud
 
 
 @pytest.fixture(scope="module")
