@@ -20,8 +20,8 @@ import numpy as np
 from .errors import (SkrpError, SpecInvariantViolated, TableRangeExceeded,
                      WrongEndpoint)
 from .profiles import Profile, Quadratic, make_profile
-from .reparam import (ReparamTable, _d3q_one_sided, _neville_at_zero,
-                      _probe_radius, _require_ball_endpoint, build_reparam)
+from .reparam import (ReparamTable, _d3q_one_sided, _require_ball_endpoint,
+                      build_reparam)
 from .tensor import ChartMetric, FDConfig, partials
 
 _ROT = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -309,8 +309,9 @@ def ball_extension_coeffs(profile: Profile, a: float, c: float, r: float,
 
         c1 = [Q - 2a(phi - c)] / (a r)^4,   c2 = 2 (phi - c) / (a r^2).
 
-    Requires Q(c) = 0 and dQ/dphi = 2a at phi = c.  At r = 0 the values are
-    Richardson limits over a shrinking radius ladder.
+    Requires Q(c) = 0 and dQ/dphi = 2a at phi = c.  w = (phi - c)/r^2
+    comes from the table's log-radius split, so the values hold to
+    roundoff down to r = 0, which reads the table's floor radius.
     """
     c1, c2 = _ball_coeffs(profile, a, c, np.array([float(r)]), table)
     return float(c1[0]), float(c2[0])
@@ -319,41 +320,39 @@ def ball_extension_coeffs(profile: Profile, a: float, c: float, r: float,
 def _ball_coeffs(profile: Profile, a: float, c: float, r: np.ndarray,
                  table: Optional[ReparamTable]) -> np.ndarray:
     """The extension coefficients (c1, c2) as rows of a (2, len(r)) array at
-    radii r >= 0.  phi(r) at all of them, and at the ladder r0, r0/2, r0/4
-    behind the r = 0 limit, comes from one solve.
+    radii r >= 0, from one phi(r) solve.
 
-    Near the root the quotient [Q - 2a(phi-c)]/xi^2 cancels catastrophically
-    in its raw form; for xi < 1e-3, expanding Q about phi = c turns it into
-    w^2 [Q''(c)/2 + Q'''(c) w xi / 6 + O(xi^2)] with w = (phi-c)/xi, which
-    is well conditioned.
+    w = (phi - c)/xi, xi = r^2, is read from the log-radius split
+    (``ReparamTable.ball_w``), which divides no difference phi - c, and
+    c2 = 2w/a.  Radii below the table's reach, r = 0 included, are clamped
+    to the floor radius where phi - c is 1e-12 of the interval length;
+    w there equals w(c) to about 1e-12.
+
+    The quotient [Q - 2a(phi-c)]/xi^2 of c1 cancels in its raw form near
+    the root; for xi < 1e-3, expanding Q about phi = c turns it into
+    w^2 [Q''(c)/2 + Q'''(c) w xi / 6 + O(xi^2)], which is well conditioned.
     """
     which = _require_ball_endpoint(profile, a, c)
     if table is None:
         table = build_reparam(profile, a)
     if np.any(r < 0):
         raise WrongEndpoint("radius must be nonnegative")
-    zero = r == 0.0
-    ladder = (_probe_radius(table, which) / np.array([1.0, 2.0, 4.0])
-              if np.any(zero) else np.empty(0))
-    radii = np.concatenate([r[~zero], ladder])
+    lo, hi = profile.interval
+    r_floor = table.r_of_phi((lo, hi)[which]
+                             + (1e-12, -1e-12)[which] * (hi - lo))
+    radii = np.maximum(r, r_floor)
     xi = radii * radii
     phi = table.phi_of_r(radii)
-    w = (phi - c) / xi
+    w = table.ball_w(phi, which)
     q2 = float(profile.d2q(c))
     q3 = _d3q_one_sided(profile, c, 1.0 if which == 0 else -1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
-        g_defl = np.asarray(profile.q(phi)) / (phi - c)  # Q / (phi - c)
-        raw = w * (g_defl - 2.0 * a) / (a ** 4 * xi)
-    coeffs = np.stack([
+        raw = w * (np.asarray(profile.q(phi)) / (phi - c) - 2.0 * a) / (
+            a ** 4 * xi)
+    return np.stack([
         np.where(xi < 1e-3,
                  w * w * (0.5 * q2 + q3 * w * xi / 6.0) / a ** 4, raw),
         2.0 * w / a])
-    out = np.empty((2, len(r)))
-    k = len(radii) - len(ladder)
-    out[:, ~zero] = coeffs[:, :k]
-    if len(ladder):
-        out[:, zero] = [[_neville_at_zero(xi[k:], cf[k:])] for cf in coeffs]
-    return out
 
 
 def ball_metric(profile: Profile, a: float, c: float, x: np.ndarray,

@@ -10,7 +10,10 @@ one fixed Gauss-Legendre rule in w; the distance invariant L and s(phi)
 both read it.  The inverse phi(r) and the dense interpolant phi(log r) come
 from one bracketed Newton solver on log r(phi).
 
-The dual table reuses the log-radius split, negated term by term.
+The dual table reuses the log-radius split, negated term by term.  At a
+root where r -> 0, the split also gives the limits there in closed form:
+w = (phi - root)/r^2 is exp(-2S) up to sign, with S the smooth rest of the
+split, so no difference phi - root is ever divided.
 """
 
 from __future__ import annotations
@@ -114,12 +117,13 @@ class _LogRadius:
                 val = np.where(near, series_val, val)
         return val
 
-    def value(self, phi):
+    def value(self, phi, skip: Optional[float] = None):
+        """log r(phi), optionally without the log term of the end ``skip``."""
         phi = np.asarray(phi, dtype=float)
         out = self._R(phi) + self.const
-        if self.root_lo:
+        if self.root_lo and skip != self.lo:
             out = out + self.p_lo * np.log(phi - self.lo)
-        if self.root_hi:
+        if self.root_hi and skip != self.hi:
             out = out + self.p_hi * np.log(self.hi - phi)
         return out
 
@@ -293,6 +297,17 @@ class ReparamTable:
                 break
         return phi
 
+    def ball_w(self, phi, which: int):
+        """w = (phi - e)/r^2 near the end e = interval[which] (0 = lo,
+        1 = hi) where r -> 0.
+
+        There log r = 1/2 log|phi - e| + S(phi), with S the smooth rest of
+        the split (``_require_ball_endpoint`` holds a/Q'(e) to 1/2), so
+        w = +-exp(-2S) and no difference phi - e is divided.
+        """
+        e = self.profile.interval[which]
+        return (1.0, -1.0)[which] * np.exp(-2.0 * self._logr.value(phi, e))
+
     # -- arclength ------------------------------------------------------------
 
     @property
@@ -391,53 +406,43 @@ def critical_distance(profile: Profile) -> float:
 
 @dataclass(frozen=True)
 class BoundaryLimits:
-    """One-sided behavior of phi and Q/r^2 as functions of xi = r^2 at xi=0."""
+    """Values at xi = r^2 = 0 of Q/r^2 and of the first and second
+    derivatives of phi and Q/r^2 with respect to xi."""
 
     q0: float
     dphi_dxi: float
     d2phi_dxi2: float
     dqr2_dxi: float
     d2qr2_dxi2: float
-    ratios: tuple[float, float, float, float]
-    passed: bool
 
 
 def boundary_limits(table: ReparamTable, endpoint: str) -> BoundaryLimits:
-    """Extrapolated limit q0 of Q/r^2 and smoothness diagnostics at r = 0.
+    """Limits at r = 0 of phi and Q/r^2 as functions of xi = r^2, in closed
+    form from the log-radius split.
 
-    The chosen endpoint ('lo' or 'hi') must be a simple root of Q with
-    dQ/dphi = 2a there (validated to 1e-6 relative); then r -> 0 at that
-    endpoint, q0 is obtained by Richardson extrapolation over the three
-    smallest-r table nodes, and the one-sided first and second derivatives
-    of phi and Q/r^2 with respect to xi = r^2 are estimated at xi = 0 with
-    step-halving convergence ratios.  Passing requires q0 > 0 and all four
-    ratios within [0.2, 5].
+    The chosen endpoint e ('lo' or 'hi') must be a simple root of Q with
+    dQ/dphi = 2a there (validated to 1e-6 relative), so that r -> 0 at it.
+    With rho = a/Q - 1/(2(phi - e)) = rho0 + rho1 (phi - e) + ..., the
+    split's root series, dphi/dxi = Q/(2a xi) = w/(1 + 2 rho (phi - e)) and
+    Q/xi = 2a dphi/dxi, where w = (phi - e)/xi obeys dw/dphi = -2 rho w.
+    Expanding at w0 = w(e) gives dphi/dxi = w0, d2phi/dxi2 = -4 rho0 w0^2
+    and d3phi/dxi3 = w0^3 (36 rho0^2 - 6 rho1); q0 and the xi-derivatives
+    of Q/r^2 are 2a times these.
     """
     if endpoint not in ("lo", "hi"):
         raise BadParams("endpoint must be 'lo' or 'hi'")
     profile = table.profile
     which = _require_ball_endpoint(
         profile, table.a, profile.interval[0 if endpoint == "lo" else 1])
-
-    # Three smallest-r nodes: Richardson (Neville at xi = 0) for q0.
-    idx = np.argsort(table.r_nodes)[:3]
-    xi = table.r_nodes[idx] ** 2
-    y = np.asarray(profile.q(table.phi_nodes[idx])) / xi
-    q0 = _neville_at_zero(xi, y)
-
-    # One-sided derivative diagnostics at steps h = xi_b / 2^j, j = 0..3,
-    # from samples at 2 xi_b and at each h, all solved in one call.
-    xi = _probe_radius(table, which) ** 2 * 2.0 ** -np.arange(-1.0, 4.0)
-    phi = table.phi_of_r(np.sqrt(xi))
-    qr2 = np.asarray(profile.q(phi)) / xi
-    d1_phi, r1_phi, d2_phi, r2_phi = _one_sided(
-        phi, float(profile.interval[which]), xi)
-    d1_q, r1_q, d2_q, r2_q = _one_sided(qr2, q0, xi)
-    ratios = (r1_phi, r1_q, r2_phi, r2_q)
-    passed = q0 > 0 and all(0.2 <= r <= 5.0 for r in ratios)
-    return BoundaryLimits(q0=float(q0), dphi_dxi=d1_phi, d2phi_dxi2=d2_phi,
-                          dqr2_dxi=d1_q, d2qr2_dxi2=d2_q, ratios=ratios,
-                          passed=passed)
+    e = profile.interval[which]
+    a = table.a
+    w0 = float(table.ball_w(e, which))
+    rho0, rho1 = table._logr._series[e]
+    d2phi = -4.0 * rho0 * w0 * w0
+    return BoundaryLimits(q0=2.0 * a * w0, dphi_dxi=w0, d2phi_dxi2=d2phi,
+                          dqr2_dxi=2.0 * a * d2phi,
+                          d2qr2_dxi2=a * w0 ** 3 * (72.0 * rho0 ** 2
+                                                    - 12.0 * rho1))
 
 
 def _require_ball_endpoint(profile: Profile, a: float, c: float) -> int:
@@ -461,14 +466,6 @@ def _require_ball_endpoint(profile: Profile, a: float, c: float) -> int:
     return which
 
 
-def _probe_radius(table: ReparamTable, which: int) -> float:
-    """The radius 2% of the interval length in from endpoint ``which``
-    (0 = lo, 1 = hi): the largest step of the r = 0 limits."""
-    lo, hi = table.profile.interval
-    return float(table.r_of_phi(
-        (lo, hi)[which] + (0.02, -0.02)[which] * (hi - lo)))
-
-
 def _d3q_one_sided(profile: Profile, phi0: float, inward: float) -> float:
     """Third derivative of Q at an endpoint phi0, by a one-sided difference
     of the exact d2q evaluator with step 1e-4 of the interval length
@@ -477,28 +474,3 @@ def _d3q_one_sided(profile: Profile, phi0: float, inward: float) -> float:
     h = inward * 1.0e-4 * (hi - lo)
     d2 = np.asarray(profile.d2q(phi0 + h * np.arange(3.0)), dtype=float)
     return float((-3.0 * d2[0] + 4.0 * d2[1] - d2[2]) / (2.0 * h))
-
-
-def _neville_at_zero(x: np.ndarray, y: np.ndarray) -> float:
-    """Polynomial extrapolation of samples (x_i, y_i) to x = 0."""
-    x = np.asarray(x, dtype=float)
-    p = np.asarray(y, dtype=float).copy()
-    n = len(p)
-    for level in range(1, n):
-        for i in range(n - level):
-            p[i] = p[i + 1] + (p[i] - p[i + 1]) * x[i + level] / (
-                x[i + level] - x[i])
-    return float(p[0])
-
-
-def _one_sided(f: np.ndarray, f0: float, xi: np.ndarray):
-    """(d1, ratio1, d2, ratio2) at 0+ from samples f at xi = (2 h_0, h_0,
-    ..., h_3), h_j = h_0 / 2^j: the quotients (f(h) - f0)/h and
-    (f(2h) - 2 f(h) + f0)/h^2, each extrapolated to h = 0, with the ratio
-    of its first two successive differences."""
-    h = xi[1:]
-    out = []
-    for d in ((f[1:] - f0) / h, (f[:-1] - 2 * f[1:] + f0) / h ** 2):
-        c0, c1 = d[0] - d[1], d[1] - d[2]
-        out += [_neville_at_zero(h, d), abs(c0 / c1) if c1 != 0 else 1.0]
-    return out

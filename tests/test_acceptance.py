@@ -254,20 +254,28 @@ def test_criterion_11_ball_extension():
                                  (-1.0, 1.0))
     a, c = -1.0, 1.0
     table = reparam.build_reparam(prof, a)
+    # r^2 = xi = (1 - phi)/(1 + phi): Q/xi = 4/(1 + xi)^2 and phi, with
+    # their xi-derivatives at 0, and c1 = -4/(1 + xi)^2, c2 = 4/(1 + xi).
     bl = reparam.boundary_limits(table, "hi")
-    c1_0, c2_0 = models.ball_extension_coeffs(prof, a, c, 0.0, table)
-    c1_a, _ = models.ball_extension_coeffs(prof, a, c, 1e-3, table)
-    c1_b, _ = models.ball_extension_coeffs(prof, a, c, 1e-4, table)
+    limits = np.array([bl.q0, bl.dphi_dxi, bl.d2phi_dxi2, bl.dqr2_dxi,
+                       bl.d2qr2_dxi2])
+    limit_err = float(np.max(np.abs(limits / [4.0, -2.0, 4.0, -8.0, 24.0]
+                                    - 1.0)))
+    radii = np.array([0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01,
+                      0.03, 0.1, 0.3, 0.8])
+    coeffs = np.array([models.ball_extension_coeffs(prof, a, c, r, table)
+                       for r in radii])
+    xi = radii ** 2
+    coeff_err = float(np.max(np.abs(
+        coeffs / np.column_stack([-4.0 / (1 + xi) ** 2, 4.0 / (1 + xi)])
+        - 1.0)))
     g0 = models.ball_metric(prof, a, c, np.array([[1e-3, 0.0]]), table)
     eig = np.linalg.eigvalsh(g0[0])
-    finite = abs(c1_a - c1_b) <= 0.1 * max(abs(c1_a), abs(c1_b), 1e-12)
-    ratios_ok = all(0.2 <= r <= 5.0 for r in bl.ratios)
-    ok = (bl.q0 > 0 and ratios_ok and finite and np.all(eig > 0)
-          and c2_0 > 0)
+    ok = limit_err < 1e-10 and coeff_err < 1e-10 and np.all(eig > 0)
     _criterion(11, "ball extension", ok,
-               f"q0 = {bl.q0:.6f} > 0, diagnostics ratios {bl.ratios}, "
-               f"c1 stable ({c1_a:.4f} vs {c1_b:.4f}), limit metric "
-               f"eigenvalues {eig}")
+               f"r = 0 limits {limit_err:.2e} and (c1, c2) at {len(radii)} "
+               f"radii in [0, 0.8] {coeff_err:.2e} off the closed forms "
+               f"(tol 1e-10), metric eigenvalues {eig}")
 
 
 def test_criterion_12_kahler_killing(fd):

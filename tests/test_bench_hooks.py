@@ -25,6 +25,11 @@ code, text = cli.run_config({
                {"name": "connection_form", "points": 5},
                {"name": "kahler", "points": 5}]})
 assert code == 0, text
+
+from skrp import models, profiles, reparam
+prof = profiles.make_profile(profiles.Quadratic(K=1.0, phi0=1.0), (-1.0, 1.0))
+reparam.boundary_limits(reparam.build_reparam(prof, -1.0), "hi")
+models.ball_extension_coeffs(prof, -1.0, 1.0, 0.0)
 """
 
 

@@ -340,6 +340,43 @@ class TestBallExtension:
             # Slope at phi = -1 is +2, not 2a = -2.
             models.ball_extension_coeffs(quadratic_profile, -1.0, -1.0, 0.1)
 
+    def test_wrong_slope(self, quadratic_profile):
+        # a = -1.01: Q'(1) = -2 misses 2a by 1%.
+        a, c = -1.01, 1.0
+        with pytest.raises(WrongEndpoint):
+            models.ball_extension_coeffs(quadratic_profile, a, c, 0.0)
+        with pytest.raises(WrongEndpoint):
+            models.ball_metric(quadratic_profile, a, c, np.zeros((1, 4)))
+
+    def test_c1_smooth(self, quadratic_profile):
+        # c1 = -4/(1 + r^2)^2 has c1'' = 16/u^3 - 96 r^2/u^4, u = 1 + r^2.
+        # An order-4 second difference at h = 1e-3 across the switch of c1
+        # between its series and its quotient (r^2 = 1e-3) finds no step.
+        a, c, h = -1.0, 1.0, 1e-3
+        table = reparam.build_reparam(quadratic_profile, a)
+        r = np.linspace(0.003, 0.05, 200)
+        c1 = [models._ball_coeffs(quadratic_profile, a, c, r + k * h,
+                                  table)[0] for k in (-2, -1, 0, 1, 2)]
+        d2 = (-c1[0] + 16 * c1[1] - 30 * c1[2] + 16 * c1[3] - c1[4]) / (
+            12 * h * h)
+        u = 1.0 + r * r
+        assert np.max(np.abs(d2 - (16 / u ** 3 - 96 * r * r / u ** 4))) < 2.5e-4
+
+    def test_chart_scalar_curvature(self, quadratic_profile, fd):
+        # g = ball_metric on C^2 is Fubini-Study on CP^2 (scalar curvature
+        # 6), smooth across r = 0; the center's stencil reads r = 0 itself.
+        a, c = -1.0, 1.0
+        table = reparam.build_reparam(quadratic_profile, a)
+        chart = tensor.ChartMetric(
+            n=4, g=lambda x: models.ball_metric(quadratic_profile, a, c, x,
+                                                table),
+            J=models.standard_J(2), phi=lambda x: np.zeros(len(x)),
+            domain=lambda x: np.isfinite(x).all(axis=1))
+        pts = np.array([[0.0, 0.0, 0.0, 0.0], [1e-4, 0.0, 0.0, 0.0],
+                        [3e-3, 1e-3, 0.0, 0.0], [0.02, 0.01, -0.01, 0.0]])
+        scalar = tensor.curvature(chart, pts, fd).scalar
+        assert np.max(np.abs(scalar / 6.0 - 1.0)) < 1e-4
+
 
 class TestProduct:
     def test_q_closed_form(self, product_chart, fd):

@@ -272,24 +272,63 @@ class TestDuality:
         assert np.max(np.abs(dr / expected - 1.0)) < 1e-8
 
 
+# Radii for the r = 0 closed forms: below the table's reach (0, 1e-12,
+# 1e-9, 1e-7), on the c1 series branch (xi < 1e-3) and on its quotient.
+BALL_RADII = np.array([0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 0.01,
+                       0.03, 0.1, 0.3, 0.8])
+
+
 class TestBoundaryLimits:
     def test_positive_limit_and_derivative(self, quad_table):
-        # Endpoint phi = +1 carries dQ/dphi = -2 = 2a.
+        # Endpoint phi = +1 carries dQ/dphi = -2 = 2a.  With r^2 = xi =
+        # (1 - phi)/(1 + phi): phi = (1 - xi)/(1 + xi) and Q/xi =
+        # 4/(1 + xi)^2, whose values and xi-derivatives at 0 are these.
         bl = rp.boundary_limits(quad_table, "hi")
-        assert bl.q0 > 0
-        assert bl.q0 == pytest.approx(4.0, rel=1e-8)   # K (1 + phi0)^2
-        assert bl.dphi_dxi == pytest.approx(bl.q0 / (2 * quad_table.a),
-                                            rel=5e-4)
-        assert bl.passed
-        assert all(0.2 <= r <= 5.0 for r in bl.ratios)
+        got = (bl.q0, bl.dphi_dxi, bl.d2phi_dxi2, bl.dqr2_dxi, bl.d2qr2_dxi2)
+        assert got == pytest.approx((4.0, -2.0, 4.0, -8.0, 24.0), rel=1e-10)
 
     def test_wrong_endpoint(self, quad_table):
         with pytest.raises(WrongEndpoint):
             rp.boundary_limits(quad_table, "lo")   # slope there is -2a
 
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    @pytest.mark.parametrize("name", ["type_b", "type_c", "polynomial"])
+    def test_against_cubic_fit(self, name, end):
+        # An independent reference: cubic fits in xi = r^2 of
+        # (phi(r) - e)/xi = dphi/dxi + d2phi/dxi2 xi/2 + ... and of
+        # Q(phi(r))/xi = q0 + dqr2/dxi xi + ... over four small radii.
+        # d2qr2/dxi2 is left out: the fit's own roundoff reaches 1e-2 there.
+        prof = {
+            "type_b": lambda: pf.find_admissible_interval(
+                pf.TypeB(m=5, K=0.0, alpha=-1.0, eta=-2.0), 0.0),
+            "type_c": lambda: pf.find_admissible_interval(
+                pf.TypeC(m=2, c=1.0, A=2.0, B=-0.3, C=0.05), 1.8),
+            "polynomial": lambda: pf.make_profile(   # (phi-1/2)(2-phi)(1+0.3phi)
+                pf.Polynomial(coeffs=(-1.0, 2.2, -0.25, -0.3)), (0.5, 2.0)),
+        }[name]()
+        which = ("lo", "hi").index(end)
+        e = prof.interval[which]
+        table = rp.build_reparam(prof, 0.5 * prof.endpoint_slopes[which])
+        bl = rp.boundary_limits(table, end)
+        xi = 1e-4 * np.array([1.0, 0.75, 0.5, 0.25])
+        vander = np.vander(xi, 4, increasing=True)
+        phi = table.phi_of_r(np.sqrt(xi))
+        f = np.linalg.solve(vander, (phi - e) / xi)
+        q = np.linalg.solve(vander, np.asarray(prof.q(phi)) / xi)
+        assert (bl.q0, bl.dphi_dxi) == pytest.approx((q[0], f[0]), rel=1e-7)
+        assert (bl.d2phi_dxi2, bl.dqr2_dxi) == pytest.approx(
+            (2.0 * f[1], q[1]), rel=1e-4)
+
+    def test_wrong_slope(self, quadratic_profile):
+        # a = -1.01: Q'(1) = -2 misses 2a by 1%, so r -> 0 is not smooth.
+        table = rp.build_reparam(quadratic_profile, a=-1.01)
+        with pytest.raises(WrongEndpoint):
+            rp.boundary_limits(table, "hi")
+
     def test_one_solve_per_limit(self, quad_table, monkeypatch):
-        # Each r = 0 limit solves its whole radius ladder in one phi_of_r
-        # call, and reads the values the one-radius-per-call code gave.
+        # The r = 0 limits solve nothing; the ball coefficients at a batch
+        # of radii, r = 0 included, take one phi_of_r call and read the
+        # closed forms c1 = -4/(1 + r^2)^2 and c2 = 4/(1 + r^2).
         calls = []
         solve = rp.ReparamTable.phi_of_r
 
@@ -298,17 +337,11 @@ class TestBoundaryLimits:
             return solve(table, r)
 
         monkeypatch.setattr(rp.ReparamTable, "phi_of_r", counted)
-        bl = rp.boundary_limits(quad_table, "hi")
-        assert len(calls) == 1
-        got = (bl.q0, bl.dphi_dxi, bl.d2phi_dxi2, bl.dqr2_dxi, bl.d2qr2_dxi2,
-               *bl.ratios)
-        pinned = (3.9999999999550964, -1.999999994781293, 3.999999688741322,
-                  -7.999999904728601, 23.99997895020559, 1.9699999999992097,
-                  1.9601502763217267, 1.9313725489676818, 1.9147468497754518)
-        assert got == pytest.approx(pinned, rel=1e-12)
-        calls.clear()
-        c1, c2 = models.ball_extension_coeffs(quad_table.profile, -1.0, 1.0,
-                                              0.0, quad_table)
-        assert len(calls) == 1
-        assert (c1, c2) == pytest.approx(
-            (-3.9999979444192983, 3.9999994826861416), rel=1e-12)
+        rp.boundary_limits(quad_table, "hi")
+        assert calls == []
+        c1, c2 = models._ball_coeffs(quad_table.profile, -1.0, 1.0,
+                                     BALL_RADII, quad_table)
+        assert calls == [len(BALL_RADII)]
+        xi = BALL_RADII ** 2
+        assert np.max(np.abs(c1 * (1 + xi) ** 2 / -4.0 - 1.0)) < 1e-10
+        assert np.max(np.abs(c2 * (1 + xi) / 4.0 - 1.0)) < 1e-10
