@@ -24,6 +24,7 @@ import json
 import math
 import os
 import sys
+import threading
 import types
 from concurrent.futures import ThreadPoolExecutor
 from typing import (Callable, Optional, Union, get_args, get_origin,
@@ -139,12 +140,72 @@ def parse_profile(node: dict) -> profiles.Profile:
     raise ConfigError("profile: needs 'interval' or 'find_interval'")
 
 
+class SampleSet:
+    """One sample-point set of a run and what is evaluated at it, each on
+    first use: the metric jet, first order until a check asks for curvature
+    (then the jet of ``tensor.curvature``), and the potential derivatives.
+
+    The first-order part of a second-order jet is the first-order jet bit
+    for bit, so every check reads the numbers it would evaluate alone.  An
+    evaluation that raises keeps nothing, so the next check that asks
+    evaluates it again and meets the same error."""
+
+    def __init__(self, chart: tensor.ChartMetric, points: np.ndarray,
+                 fd: tensor.FDConfig):
+        self.chart, self.points, self.fd = chart, points, fd
+        points.flags.writeable = False
+        self._jet = self._curv = self._pot = None
+        self._lock = threading.RLock()   # checks may run in threads
+
+    def jet(self) -> tensor.MetricJet:
+        with self._lock:
+            if self._jet is None:
+                self._jet = tensor.metric_jet(self.chart, self.points,
+                                              self.fd, second=False)
+            return self._jet
+
+    def curvature(self) -> tensor.CurvatureTensors:
+        with self._lock:
+            if self._curv is None:
+                self._curv = tensor.curvature(self.chart, self.points,
+                                              self.fd)
+                self._jet = self._curv.jet
+            return self._curv
+
+    def potential(self) -> tensor.PotentialDerivatives:
+        with self._lock:
+            if self._pot is None:
+                self._pot = tensor.potential_derivatives(
+                    self.chart, self.points, self.fd, jet=self.jet())
+            return self._pot
+
+
 @dataclasses.dataclass
 class ModelContext:
+    """A run's model, and the sample-point sets its checks have asked for,
+    held as long as the context."""
+
     chart: Optional[tensor.ChartMetric]
     sphere: Optional[models.SphereModel]
     profile: Optional[profiles.Profile]
     variant: str
+    _sample_sets: dict = dataclasses.field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _lock: threading.Lock = dataclasses.field(
+        default_factory=threading.Lock, init=False, repr=False,
+        compare=False)
+
+    def sample_set(self, count: int, seed: int,
+                   fd: tensor.FDConfig) -> SampleSet:
+        """The set of ``count`` points sampled with ``seed``: checks that
+        ask with the same arguments share it."""
+        with self._lock:
+            key = (count, seed, fd)
+            if key not in self._sample_sets:
+                self._sample_sets[key] = SampleSet(
+                    self.chart, models.sample_points(self.chart, count, seed),
+                    fd)
+            return self._sample_sets[key]
 
 
 def parse_model(node: dict, profile: Optional[profiles.Profile]
@@ -203,10 +264,6 @@ def _result(name, residual, tol, note=""):
                        passed=bool(residual <= tol), note=note)
 
 
-def _points(ctx: ModelContext, params: dict, seed: int) -> np.ndarray:
-    return models.sample_points(ctx.chart, params["points"], seed)
-
-
 def check_curvature_constant(ctx, params, fd, seed):
     """Gaussian curvature of the sphere chart equals K, including radii in
     [1e-3, 1e-2]."""
@@ -237,8 +294,9 @@ def check_distance(ctx, params, fd, seed):
 
 
 def check_skrp_blocks(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    rep = verify.skrp_report(ctx.chart, pts, fd)
+    s = ctx.sample_set(params["points"], seed, fd)
+    rep = verify.skrp_report(ctx.chart, s.points, fd, curv=s.curvature(),
+                             pot=s.potential())
     tol = params["tolerance"]
     return [
         _result("hess_orthogonal_block", rep.hess_h_res, tol),
@@ -253,8 +311,9 @@ def check_skrp_blocks(ctx, params, fd, seed):
 
 
 def check_identities(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    rep = verify.identity_report(ctx.chart, pts, fd)
+    s = ctx.sample_set(params["points"], seed, fd)
+    rep = verify.identity_report(ctx.chart, s.points, fd,
+                                 curv=s.curvature(), pot=s.potential())
     tol = params["tolerance"]
     out = [
         _result("gradient_dq", rep.dq_res, tol),
@@ -272,8 +331,10 @@ def check_identities(ctx, params, fd, seed):
 
 
 def check_conformal_einstein(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    rep = verify.conformal_einstein_report(ctx.chart, pts, fd)
+    s = ctx.sample_set(params["points"], seed, fd)
+    rep = verify.conformal_einstein_report(ctx.chart, s.points, fd,
+                                           curv=s.curvature(),
+                                           pot=s.potential())
     return [
         _result("einstein_residual", rep.einstein_res, params["tolerance"]),
         _result("einstein_constant_spread", rep.lambda_spread,
@@ -283,20 +344,24 @@ def check_conformal_einstein(ctx, params, fd, seed):
 
 
 def check_kahler(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    worst = float(np.max(tensor.kahler_residuals(ctx.chart, pts, fd).worst()))
+    s = ctx.sample_set(params["points"], seed, fd)
+    worst = float(np.max(tensor.kahler_residuals(
+        ctx.chart, s.points, fd, jet=s.jet()).worst()))
     return [_result("kahler_residuals", worst, params["tolerance"])]
 
 
 def check_killing(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    worst = float(np.max(tensor.killing_residual(ctx.chart, pts, fd).worst()))
+    s = ctx.sample_set(params["points"], seed, fd)
+    worst = float(np.max(tensor.killing_residual(
+        ctx.chart, s.points, fd, jet=s.jet(), pot=s.potential()).worst()))
     return [_result("killing_residuals", worst, params["tolerance"])]
 
 
 def check_soliton(ctx, params, fd, seed):
-    pts = _points(ctx, params, seed)
-    res = verify.soliton_report(ctx.chart, params["p"], params["s0"], pts, fd)
+    s = ctx.sample_set(params["points"], seed, fd)
+    res = verify.soliton_report(ctx.chart, params["p"], params["s0"],
+                                s.points, fd, curv=s.curvature(),
+                                pot=s.potential())
     return [_result("soliton_residual", res, params["tolerance"])]
 
 
@@ -326,7 +391,7 @@ def check_duality(ctx, params, fd, seed):
     dual = models.build_annulus(models.AnnulusSpec(
         profile=ctx.profile, a=-a,
         phi_window=chart.meta["phi_window"]))
-    pts = _points(ctx, params, seed)
+    pts = ctx.sample_set(params["points"], seed, fd).points
     star = models.inversion_point(pts)
     jac = models.inversion_jacobian(pts)
     g_orig = np.asarray(chart.g(pts))

@@ -527,14 +527,17 @@ class KahlerResiduals:
                                   self.nabla_j_res])
 
 
-def kahler_residuals(chart: ChartMetric, x, fd: FDConfig) -> KahlerResiduals:
-    """Hermitian-metric, closed-form, and parallel-J residuals per point.
+def kahler_residuals(chart: ChartMetric, x, fd: FDConfig,
+                     jet: Optional[MetricJet] = None) -> KahlerResiduals:
+    """Hermitian-metric, closed-form, and parallel-J residuals per point,
+    from ``jet`` (the metric jet at x, first order or second) if given.
 
     hermitian_res = max|J^T g J - g| / max|g|;
     domega_res    = max|(d omega)_{ijk}| / (1 + max|dg|), omega = J^T g;
     nabla_j_res   = max|gamma J - J gamma contraction| / (1 + max|gamma|).
     """
-    jet = metric_jet(chart, x, fd, second=False)
+    if jet is None:
+        jet = metric_jet(chart, x, fd, second=False)
     J = chart.J
     herm = _amax(J.T @ jet.g @ J - jet.g) / _amax(jet.g)
     # omega_{jk} = (J^T g)_{jk}; d omega from the metric partials, over the
@@ -570,8 +573,13 @@ def _killing_field(jet: MetricJet, pot: PotentialDerivatives,
     return pot.grad_phi @ J.T, dgrad @ J.T
 
 
-def killing_residual(chart: ChartMetric, x, fd: FDConfig) -> KillingResiduals:
-    """Killing-field and Hermitian-Hessian residuals for u = J grad(phi).
+def killing_residual(chart: ChartMetric, x, fd: FDConfig,
+                     jet: Optional[MetricJet] = None,
+                     pot: Optional[PotentialDerivatives] = None
+                     ) -> KillingResiduals:
+    """Killing-field and Hermitian-Hessian residuals for u = J grad(phi),
+    from ``jet`` and ``pot`` (the metric jet and potential derivatives at
+    x) where given.
 
     sym_nabla_u_res    = max|sym(g nabla u)| / (1 + max|g nabla u|), with
                          g nabla u the lowered tensor (nabla_j u)_k;
@@ -581,8 +589,10 @@ def killing_residual(chart: ChartMetric, x, fd: FDConfig) -> KillingResiduals:
     nabla u comes from the metric jet and the second partials of phi, not
     from differencing u itself.
     """
-    jet = metric_jet(chart, x, fd, second=False)
-    pot = potential_derivatives(chart, x, fd, jet=jet)
+    if jet is None:
+        jet = metric_jet(chart, x, fd, second=False)
+    if pot is None:
+        pot = potential_derivatives(chart, x, fd, jet=jet)
     J = chart.J
     u, du = _killing_field(jet, pot, J)
     # nabla_j u^k at [b, k, j]; du[b, j, k] = d_j u^k.

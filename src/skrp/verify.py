@@ -8,7 +8,9 @@ potential derivatives, orthonormal frames seeded by grad phi and J grad phi,
 Hess(phi) and Ricci in those frames, and the eigenvalues tau, mu, sigma,
 lam read off them.  ``conformal_einstein_report`` reads the curvature of
 g/phi^2 from the same quantities through the conformal-change identity
-(``_conformal_curvature``), with no chart of g/phi^2.
+(``_conformal_curvature``), with no chart of g/phi^2.  Each report that
+reads curvature takes it and the potential derivatives at its points as
+``curv`` and ``pot`` where the caller has them, and evaluates them where not.
 
 Every residual reported here is scale-normalized (the normalization is named
 in the docstring of the operation that produces it), so the default
@@ -74,8 +76,22 @@ class _Split:
     sigma_h: np.ndarray    # mean of the orthogonal block of Hess(phi)
 
 
-def _adapted_split(chart: ChartMetric, points: np.ndarray, fd: FDConfig
-                   ) -> _Split:
+def _evaluate(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
+              curv: Optional[CurvatureTensors],
+              pot: Optional[PotentialDerivatives]
+              ) -> tuple[CurvatureTensors, PotentialDerivatives]:
+    """The curvature and potential derivatives at points: as given, or
+    evaluated where None."""
+    if curv is None:
+        curv = curvature(chart, points, fd)
+    if pot is None:
+        pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    return curv, pot
+
+
+def _adapted_split(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
+                   curv: Optional[CurvatureTensors] = None,
+                   pot: Optional[PotentialDerivatives] = None) -> _Split:
     """The split at points (B, n) where dphi != 0: orthonormal frames whose
     first two vectors are v_hat = grad phi / |grad phi| and J v_hat, the
     rest spanning the orthogonal block.  tau and mu are the gradient-plane
@@ -83,9 +99,8 @@ def _adapted_split(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     where |grad phi|_g <= GRAD_FLOOR."""
     m = int(chart.meta.get("m", chart.n // 2))
     n = chart.n
-    curv = curvature(chart, points, fd)
+    curv, pot = _evaluate(chart, points, fd, curv, pot)
     g = curv.jet.g
-    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
     Q = np.einsum("bi,bij,bj->b", pot.grad_phi, g, pot.grad_phi)
     flat = Q <= GRAD_FLOOR ** 2
     if np.any(flat):
@@ -146,7 +161,9 @@ class EigenstructureReport:
                    self.ricci_h_res, self.ricci_v_res, self.ricci_mixed_res)
 
 
-def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
+def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
+                curv: Optional[CurvatureTensors] = None,
+                pot: Optional[PotentialDerivatives] = None
                 ) -> EigenstructureReport:
     """Eigenstructure of Hess(phi) and Ricci against the orthogonal split.
 
@@ -157,7 +174,7 @@ def skrp_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
     """
     eps = chart.meta.get("eps")
     n = chart.n
-    sp = _adapted_split(chart, points, fd)
+    sp = _adapted_split(chart, points, fd, curv, pot)
     hb, rb = sp.hb, sp.rb
     tau, mu, sigma, lam = sp.tau, sp.mu, sp.sigma, sp.lam
     h_scale = 1.0 + np.abs(tau) + np.abs(sigma)
@@ -289,14 +306,16 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     return yf
 
 
-def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig
+def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
+                    curv: Optional[CurvatureTensors] = None,
+                    pot: Optional[PotentialDerivatives] = None
                     ) -> IdentityReport:
     m = int(chart.meta.get("m", chart.n // 2))
     eps = chart.meta.get("eps")
     c = chart.meta.get("c")
     profile: Optional[Profile] = chart.meta.get("profile")
 
-    sp = _adapted_split(chart, points, fd)
+    sp = _adapted_split(chart, points, fd, curv, pot)
     pot, tau, mu, sigma_h = sp.pot, sp.tau, sp.mu, sp.sigma_h
 
     dq = _dq(sp.curv.jet, pot)
@@ -377,7 +396,10 @@ def _conformal_curvature(curv: CurvatureTensors, pot: PotentialDerivatives,
 
 
 def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
-                              fd: FDConfig) -> ConformalEinsteinReport:
+                              fd: FDConfig,
+                              curv: Optional[CurvatureTensors] = None,
+                              pot: Optional[PotentialDerivatives] = None
+                              ) -> ConformalEinsteinReport:
     phis = np.asarray(chart.phi(points), dtype=float)
     profile: Optional[Profile] = chart.meta.get("profile")
     if profile is not None:
@@ -389,8 +411,7 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
         raise PhiNearZero(f"|phi| <= {floor} at a requested point")
     n = chart.n
 
-    curv = curvature(chart, points, fd)
-    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    curv, pot = _evaluate(chart, points, fd, curv, pot)
     ricci, scalar = _conformal_curvature(curv, pot, phis)
     lambdas = scalar / n
     # A g~-orthonormal frame is |phi| times a g-orthonormal one.
@@ -414,11 +435,12 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
 # ---------------------------------------------------------------------------
 
 def soliton_report(chart: ChartMetric, p: float, s0: float,
-                   points: np.ndarray, fd: FDConfig) -> float:
+                   points: np.ndarray, fd: FDConfig,
+                   curv: Optional[CurvatureTensors] = None,
+                   pot: Optional[PotentialDerivatives] = None) -> float:
     """Max frame-component residual of Hess(phi) + p Ric - s0 g over the
     points, normalized by (1 + |s0|)."""
-    curv = curvature(chart, points, fd)
-    pot = potential_derivatives(chart, points, fd, jet=curv.jet)
+    curv, pot = _evaluate(chart, points, fd, curv, pot)
     combo = pot.hess_phi + p * curv.ricci - s0 * curv.jet.g
     cb = _frame_blocks(orthonormal_frame(curv.jet.g), combo)
     return _worst(_amax(cb) / (1.0 + abs(s0)))

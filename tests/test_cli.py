@@ -11,6 +11,7 @@ import pathlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from skrp import cli, models, tensor, verify
@@ -226,13 +227,17 @@ class TestRunConfig:
         assert set(cli.CHECK_PARAMS) == set(cli.CHECKS)
 
     def test_threads_do_not_change_results(self):
+        # Four checks of conformal_type_c share one set of 60 points, so
+        # two threads read one shared evaluation at once.
         def strip(text):
             return "\n".join(ln for ln in text.splitlines()
                              if not ln.startswith("timestamp:"))
 
-        code1, t1 = cli.run_config(SHELL_CONFIG, threads=1)
-        code2, t2 = cli.run_config(SHELL_CONFIG, threads=2)
-        assert (code1, strip(t1)) == (code2, strip(t2))
+        shipped = json.loads((CONFIGS / "conformal_type_c.json").read_text())
+        for config in (SHELL_CONFIG, shipped):
+            code1, t1 = cli.run_config(config, threads=1)
+            code2, t2 = cli.run_config(config, threads=2)
+            assert (code1, strip(t1)) == (code2, strip(t2))
 
     @pytest.mark.parametrize("variant", ["shell", "product"])
     def test_identity_rows(self, variant):
@@ -301,6 +306,124 @@ class TestRunConfig:
                 "StencilOutOfDomain: ") in text
         assert "stencil points leave the domain around point" in text
         assert "summary: pass=0 fail=1 exit=1" in text
+
+
+def counted_shells(monkeypatch, domain=None):
+    """Make ``models.build_shell`` record the number of points of each
+    ``chart.g`` and ``chart.phi`` call of the charts it builds (and, if
+    given, cut their domain to ``domain(chart)``); returns the record."""
+    calls = {"g": [], "phi": []}
+    build = models.build_shell
+
+    def counted(name, fn):
+        def wrapped(pts):
+            calls[name].append(len(pts))
+            return fn(pts)
+        return wrapped
+
+    def built(spec):
+        chart = build(spec)
+        return dataclasses.replace(
+            chart, g=counted("g", chart.g), phi=counted("phi", chart.phi),
+            domain=chart.domain if domain is None else domain(chart))
+
+    monkeypatch.setattr(models, "build_shell", built)
+    return calls
+
+
+def with_checks(config, names, points):
+    """A copy of config whose plan is the named checks at one ``points``."""
+    out = json.loads(json.dumps(config))
+    out["checks"] = [{"name": name, "points": points,
+                      **({"p": 0.5, "s0": 0.3} if name == "soliton" else {})}
+                     for name in names]
+    return out
+
+
+def check_lines(text):
+    return [ln for ln in text.splitlines() if ln.startswith("check: ")]
+
+
+def cloud(second):
+    """Points of the n = 4 stencil cloud at the default configuration."""
+    return len(tensor.stencil(4, True, second).codes)
+
+
+class TestSharedSamples:
+    """Checks of one run with equal ``points`` sample the same points and
+    share one metric jet and one set of potential derivatives."""
+
+    @pytest.mark.parametrize("names, second", [
+        (("skrp_blocks", "kahler", "killing"), True),
+        (("kahler", "killing"), False)])
+    def test_one_g_and_one_phi_call(self, monkeypatch, names, second):
+        calls = counted_shells(monkeypatch)
+        code, _ = cli.run_config(with_checks(SHELL_CONFIG, names, 3))
+        assert code == 0
+        assert calls == {"g": [3 * cloud(second)], "phi": [3 * cloud(True)]}
+
+    def test_context_from_four_fields(self, monkeypatch):
+        # A context built from its four fields, its checks called one by
+        # one, as the benchmark calls them.
+        calls = counted_shells(monkeypatch)
+        ctx = cli.parse_model(SHELL_CONFIG["model"],
+                              cli.parse_profile(SHELL_CONFIG["profile"]))
+        ctx = cli.ModelContext(ctx.chart, None, ctx.profile, "shell")
+        for name in ("kahler", "killing"):
+            rows = cli.CHECKS[name](ctx, {"points": 3, "tolerance": 1e-6},
+                                    tensor.FDConfig(), 4)
+            assert rows[0].passed
+        assert calls == {"g": [3 * cloud(False)], "phi": [3 * cloud(True)]}
+
+    def test_threads_evaluate_once(self, monkeypatch):
+        # More threads than cores, switching often: still one metric and
+        # one phi evaluation for the eight checks of one point set.
+        calls = counted_shells(monkeypatch)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            code, _ = cli.run_config(with_checks(
+                SHELL_CONFIG, ["kahler", "killing"] * 4, 3), threads=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert code == 0
+        assert calls == {"g": [3 * cloud(False)], "phi": [3 * cloud(True)]}
+
+    SHARED = ("skrp_blocks", "identities", "conformal_einstein", "soliton")
+
+    @pytest.mark.parametrize("cut", [False, True])
+    @pytest.mark.parametrize("first", [True, False])
+    def test_rows_as_in_a_plan_of_their_own(self, monkeypatch, cut, first):
+        # The cut chart's domain holds only the coordinate lines through
+        # the sample points: the first-order cloud fits in it, the
+        # second-order one does not, so every check but kahler fails.
+        config = json.loads((CONFIGS / "conformal_type_c.json").read_text())
+        points = 4
+
+        def lines_only(chart):
+            centers = models.sample_points(chart, points, config["seed"])
+
+            def domain(pts):
+                off = np.sum(pts[:, None, :] != centers[None], axis=2)
+                return chart.domain(pts) & np.any(off <= 1, axis=1)
+            return domain
+
+        counted_shells(monkeypatch, lines_only if cut else None)
+        names = (("kahler", "killing") + self.SHARED if first
+                 else self.SHARED + ("kahler", "killing"))
+        alone = [ln for name in names for ln in check_lines(
+            cli.run_config(with_checks(config, [name], points))[1])]
+        lines = check_lines(cli.run_config(with_checks(config, names,
+                                                       points))[1])
+        assert lines == alone
+        errors = [ln.split()[1] for ln in lines if "note=error " in ln]
+        if cut:
+            assert all("StencilOutOfDomain" in ln
+                       for ln in lines if "note=error " in ln)
+            assert len(errors) == len(names) - 1
+            assert "name=kahler_residuals" not in errors
+        else:
+            assert errors == []
 
 
 class TestSweeps:

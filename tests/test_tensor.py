@@ -180,6 +180,45 @@ class TestPotential:
         assert np.max(np.abs(hess - hess.T)) < 1e-10
 
 
+MODEL_CHARTS = ("sphere", "annulus", "product", "shell_m2", "shell_m3",
+                "shell_m4", "type_c", "soliton")
+
+
+def model_chart(request, name):
+    """A chart of each model the checks run on: the sphere, annulus and
+    product fixtures, quadratic shells at m = 2, 3, 4, the matched TypeC
+    shell (A = 2ac) and a ``soliton_profile`` shell."""
+    if name.startswith("shell_m"):
+        return models.build_shell(models.ShellSpec(
+            m=int(name[-1]), profile=request.getfixturevalue(
+                "quadratic_profile"), a=1.0, eps=1, c=-2.0))
+    if name in ("type_c", "soliton"):
+        return family_shell("custom" if name == "soliton" else name)
+    if name == "sphere":
+        return request.getfixturevalue("sphere_model").chart
+    return request.getfixturevalue(f"{name}_chart")
+
+
+class TestFirstOrderPart:
+    """Checks that sample one point set share one metric jet, first order
+    until one of them needs curvature.  That rests on this property."""
+
+    @pytest.mark.parametrize("name", MODEL_CHARTS)
+    def test_bit_for_bit(self, fd, request, name):
+        # 40 points: the two clouds split into chunks at different points.
+        chart = model_chart(request, name)
+        x = models.sample_points(chart, 40, seed=7)
+        first = tensor.metric_jet(chart, x, fd, second=False)
+        second = tensor.metric_jet(chart, x, fd, second=True)
+        for key in ("g", "ginv", "dg", "gamma"):
+            assert np.array_equal(getattr(first, key), getattr(second, key))
+        pots = [tensor.potential_derivatives(chart, x, fd, jet=jet)
+                for jet in (first, second)]
+        for f in dataclasses.fields(tensor.PotentialDerivatives):
+            assert np.array_equal(getattr(pots[0], f.name),
+                                  getattr(pots[1], f.name))
+
+
 class TestGeodesics:
     def test_straight_line(self, fd):
         ch = euclidean_chart(1)
