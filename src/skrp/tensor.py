@@ -13,8 +13,12 @@ at n = 4 / 6 / 8), without it 1 + 4n + 8 n(n-1)/2.  It is ordered as the
 center, the axis points, then one block per coordinate plane, so W is block
 sparse (440 of its 44 x 385 entries are nonzero at n = 8): the first and
 pure second partials read only the center and axis points, and every mixed
-partial applies the same weight vector to its own plane's block.
+partial applies the same weight vector to its own plane's block.  The
+center-plus-axis part alone (the first-order cloud, 1 + 6n points with
+Richardson) is the pure operator: first and pure second partials.
 Operators are built on first use and cached per (n, richardson, second).
+A cloud is laid out along the coordinate axes, or along the rows of a
+per-point direction basis where ``partials`` is given one.
 
 Every function below takes a batch of points with points as the leading
 axis, shape (B, n), and returns arrays with the point axis first; one point
@@ -101,7 +105,8 @@ class ChartMetric:
 class Stencil:
     """Cloud offsets ``codes`` (P, n) in units of h/2, the center first, and
     unit-step weights ``W`` (D, P).  Rows 0..n-1 of W are d/dx_i; in a
-    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j.
+    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j, and in a pure
+    one (no ``pair``, D = 2n) row n + i is d2/dx_i^2.
 
     A second-order cloud is ordered as the center, the A - 1 axis points,
     then one block of M points per coordinate plane i < j, every block in
@@ -123,17 +128,23 @@ class Stencil:
         """Partials from values on a batch of clouds, (B, P, ...): first
         partials (B, n, ...) and second partials (B, n, n, ...) or None.
 
-        Every row of W sums to zero, so the center value is subtracted
-        first: differences keep the roundoff small, and a constant has
-        exactly zero partials.  A first-order operator is the product
-        ``W @ diff``; a second-order one applies only W's nonzero blocks.
+        For a pure operator the second partials are the pure ones,
+        (B, n, ...).  Every row of W sums to zero, so the center value is
+        subtracted first: differences keep the roundoff small, and a
+        constant has exactly zero partials.  A first-order or pure operator
+        is the product ``W @ diff``; a second-order one applies only W's
+        nonzero blocks.
         """
         B, n = len(vals), self.codes.shape[1]
         trail = vals.shape[2:]
         vals = vals.reshape(B, len(self.codes), -1)
         diff = vals - vals[:, :1]
         if self.pair is None:
-            return (self.W @ diff / h).reshape((B, n) + trail), None
+            out = self.W @ diff
+            d1 = (out[:, :n] / h).reshape((B, n) + trail)
+            if len(self.W) == n:
+                return d1, None
+            return d1, (out[:, n:] / (h * h)).reshape((B, n) + trail)
         A, M, T = self.Wa.shape[1], len(self.w_plane), diff.shape[2]
         out = np.empty((B, len(self.W), T))
         out[:, self.axis_rows] = self.Wa @ diff[:, :A]
@@ -144,13 +155,21 @@ class Stencil:
 
 
 @functools.lru_cache(maxsize=None)
-def stencil(n: int, richardson: bool, second: bool) -> Stencil:
+def stencil(n: int, richardson: bool, second: bool | str) -> Stencil:
     """The order-4 stencil operator for chart dimension n (Fornberg,
     Math. Comp. 51 (1988) 699-706, gives these weights): the five-point
     first and second differences D1, D2 along each axis and, for a mixed
     partial, (D2 along e_i + e_j - D2 along e_i - e_j) / 4.  With
     Richardson extrapolation each row is 16/15 of its step-h/2 form minus
-    1/15 of its step-h form."""
+    1/15 of its step-h form.
+
+    ``second`` is False (first partials), True (first and second partials)
+    or "pure" (first and pure second partials: the center-plus-axis part of
+    the second-order operator, whose cloud is the first-order one)."""
+    if second == "pure":
+        full = stencil(n, richardson, True)
+        return Stencil(codes=full.codes[:full.Wa.shape[1]], W=full.Wa,
+                       pair=None)
     pairs = [(i, j) for i in range(n) for j in range(i, n)] if second else []
     index = {(0,) * n: 0}
     taps = []   # (row, column, weight)
@@ -211,9 +230,17 @@ def stencil(n: int, richardson: bool, second: bool) -> Stencil:
 
 
 def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
-             second: bool, domain: Optional[Callable] = None):
+             second: bool | str, domain: Optional[Callable] = None,
+             basis: Optional[np.ndarray] = None):
     """Values at x, first and second partials of a vectorized ``fn`` at a
-    batch of points x (B, n), as (value, d1, d2 or None).
+    batch of points x (B, n), as (value, d1, d2 or None).  ``second`` picks
+    the operator as in ``stencil``: with "pure", d2 holds only the pure
+    second partials, (B, n, ...).
+
+    With a ``basis`` (B, n, n), the cloud of point b is laid out along the
+    rows of basis[b] instead of the coordinate axes, so d1[b, k] is the
+    derivative along basis[b, k] and d2 the second derivatives along those
+    directions.
 
     The one place where a stencil cloud is built, checked against
     ``domain`` (a cloud that leaves it raises StencilOutOfDomain naming its
@@ -230,7 +257,8 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
     values, d1s, d2s = [], [], []
     for lo in range(0, B, per):
         xb = x[lo:lo + per]
-        pts = (xb[:, None, :] + offsets).reshape(-1, n)
+        cloud = offsets if basis is None else offsets @ basis[lo:lo + per]
+        pts = (xb[:, None, :] + cloud).reshape(-1, n)
         if domain is not None:
             inside = np.asarray(domain(pts), dtype=bool).reshape(len(xb), P)
             if not inside.all():

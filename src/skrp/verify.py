@@ -255,26 +255,33 @@ def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig, jet: MetricJet,
     """dY (B, n) of Y = g^{ij} H_ij, H = Hess(phi), from a second-order
     metric jet and the potential derivatives at the points:
 
-        dY_l = partial_l g^{ij} H_ij
-               + g^{ij} (phi_ijl - partial_l gamma^k_ij phi_k
-                         - gamma^k_ij phi_kl).
+        dY_l = partial_l g^{ij} H_ij + T_l
+               - g^{ij} (partial_l gamma^k_ij phi_k + gamma^k_ij phi_kl),
 
-    Only the third partials phi_ijl nest: they are the first partials, at
-    step 9h with Richardson extrapolation, of the second partials of phi at
-    step 3h, so no metric is evaluated on the outer points.  The chart's
-    phi is a cubic spline in log r whose knots lie closer together than h,
-    so its third derivative jumps inside a stencil; the wide steps keep the
-    roundoff of the nested difference below its truncation error."""
+    where T_l = g^{ij} phi_ijl is the one contraction of the third partials
+    of phi that dY reads.  With g^-1 = sum_k lam_k u_k u_k^T (eigenvalues
+    lam_k, unit eigenvectors u_k), T_l = sum_k lam_k d2/du_k^2 (partial_l
+    phi): the pure second differences, at step 3h along the n directions
+    u_k, of the coordinate gradient of phi at step 9h with Richardson
+    extrapolation.  So phi is evaluated on (1 + 6n)^2 points per point and
+    no metric on the outer points.  The chart's phi is a cubic spline in
+    log r whose knots lie closer together than h, so its third derivative
+    jumps inside a stencil; the wide steps keep the roundoff of the nested
+    difference below its truncation error."""
 
-    def d2phi(pts):
-        return partials(chart.phi, pts, 3.0 * fd.h, fd.richardson, True,
-                        domain=chart.domain)[2]
+    def grad_phi(pts):
+        return partials(chart.phi, pts, 9.0 * fd.h, True, False,
+                        domain=chart.domain)[1]
 
-    phi3 = partials(d2phi, points, 9.0 * fd.h, True, False)[1]  # [b, l, i, j]
-    dh = (phi3 - np.einsum("blkij,bk->blij", _gamma_partials(jet), pot.dphi)
-          - np.einsum("bkij,bkl->blij", jet.gamma, pot.d2phi))
+    lam, vecs = np.linalg.eigh(jet.ginv)
+    d2 = partials(grad_phi, points, 3.0 * fd.h, fd.richardson, "pure",
+                  basis=np.swapaxes(vecs, 1, 2))[2]     # [b, k, l]
+    trace_gamma = np.einsum("bij,bkij->bk", jet.ginv, jet.gamma)
+    trace_dgamma = np.einsum("bij,blkij->blk", jet.ginv, _gamma_partials(jet))
     return (np.einsum("blij,bij->bl", _dginv(jet), pot.hess_phi)
-            + np.einsum("bij,blij->bl", jet.ginv, dh))
+            + np.einsum("bk,bkl->bl", lam, d2)
+            - np.einsum("blk,bk->bl", trace_dgamma, pot.dphi)
+            - np.einsum("bk,bkl->bl", trace_gamma, pot.d2phi))
 
 
 def q_field(chart: ChartMetric, fd: FDConfig) -> Callable:
@@ -295,8 +302,10 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     """Vectorized x -> Y(x), the Laplacian of phi, from a first-order
     metric cloud and a second-order phi cloud at step 3h around each point.
     ``identity_report`` and ``conformal_einstein_report`` read dY from
-    ``_dy`` instead; this field, differenced by a first-order ``partials``
-    call at step 9h, is the nested reference for it.
+    ``_dy`` instead, which differences only the trace of the third
+    partials of phi that dY needs; this field, differenced as a whole by a
+    first-order ``partials`` call at step 9h, is the tests' nested
+    reference for it.
     """
     fd_inner = FDConfig(h=3.0 * fd.h, richardson=fd.richardson)
 

@@ -136,6 +136,21 @@ def test_cloud_sizes(n):
     assert len(tensor.stencil(n, False, True).codes) == 1 + 4 * n + 8 * pairs
 
 
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_pure_operator(n, richardson):
+    # The pure operator is the center-plus-axis block of the second-order
+    # one, on the first-order cloud in its order (1 + 6n points with
+    # Richardson).
+    pure = tensor.stencil(n, richardson, "pure")
+    full = tensor.stencil(n, richardson, True)
+    assert np.array_equal(pure.codes,
+                          tensor.stencil(n, richardson, False).codes)
+    assert np.array_equal(pure.codes, full.codes[:full.Wa.shape[1]])
+    assert np.array_equal(pure.W, full.Wa)
+    assert len(pure.codes) == 1 + (6 if richardson else 4) * n
+
+
 def _row_weights(op, row):
     """offset code -> weight of the nonzero taps of one row of W."""
     return {tuple(code): w for code, w in zip(op.codes.tolist(), op.W[row])
@@ -158,12 +173,12 @@ def _rel(a, b):
     return np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)
 
 
-@pytest.mark.parametrize("second", [True, False])
+@pytest.mark.parametrize("second", [True, False, "pure"])
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_apply_matches_dense_product(n, richardson, second):
     # The block apply of a second-order operator against the dense product
-    # that defines it; a first-order operator is that product.
+    # that defines it; a first-order or pure operator is that product.
     op = tensor.stencil(n, richardson, second)
     rng = np.random.default_rng(n)
     P = len(op.codes)
@@ -175,6 +190,10 @@ def test_apply_matches_dense_product(n, richardson, second):
         want1 = (dense[:, :n] / 0.1).reshape((3, n) + trail)
         if not second:
             assert d2 is None and np.array_equal(d1, want1)
+            continue
+        if second == "pure":
+            want2 = (dense[:, n:] / (0.1 * 0.1)).reshape((3, n) + trail)
+            assert np.array_equal(d1, want1) and np.array_equal(d2, want2)
             continue
         want2 = (dense[:, op.pair] / 0.01).reshape((3, n, n) + trail)
         assert _rel(d1, want1) <= 1e-13
@@ -204,6 +223,50 @@ def test_block_layout(n, richardson):
         assert not np.any(np.delete(op.codes[block], (i, j), axis=1))
         assert np.array_equal(op.codes[block][:, (i, j)],
                               op.codes[A:A + M][:, (0, 1)])
+
+
+def _batch_over_chunks(rng, n, richardson, second):
+    """Points enough that ``partials`` splits them into two chunks."""
+    P = len(tensor.stencil(n, richardson, second).codes)
+    return rng.uniform(-0.5, 0.5, size=(tensor.CHUNK_POINTS // P + 3, n))
+
+
+@pytest.mark.parametrize("second", [False, True, "pure"])
+@pytest.mark.parametrize("n", [2, 4, 8])
+def test_identity_basis_bit_identical(n, second):
+    rng = np.random.default_rng(40 + n)
+    f, _, _ = _ridge_polynomial(rng, n)
+    x = _batch_over_chunks(rng, n, True, second)
+    eye = np.broadcast_to(np.eye(n), (len(x), n, n))
+    plain = tensor.partials(f, x, 0.1, True, second)
+    along = tensor.partials(f, x, 0.1, True, second, basis=eye)
+    for a, b in zip(plain, along):
+        assert (a is None and b is None) or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("second", [True, "pure"])
+@pytest.mark.parametrize("richardson", [True, False])
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_basis_exact_on_quartics(n, richardson, second):
+    # With a random orthonormal basis per point, the partials are the
+    # derivatives along its rows: u_k . grad f and u_k^T H u_l (u_k^T H u_k
+    # for the pure operator).
+    rng = np.random.default_rng(50 + n + 10 * richardson)
+    f, grad, hess = _ridge_polynomial(rng, n)
+    x = _batch_over_chunks(rng, n, richardson, second)
+    basis = np.swapaxes(np.linalg.qr(rng.normal(size=(len(x), n, n)))[0],
+                        1, 2)
+    value, d1, d2 = tensor.partials(f, x, 0.1, richardson, second,
+                                    basis=basis)
+    for b in range(len(x)):
+        u, H = basis[b], hess(x[b])
+        scale = 1.0 + np.max(np.abs(H))
+        want2 = u @ H @ u.T
+        if second == "pure":
+            want2 = np.diagonal(want2)
+        assert value[b] == pytest.approx(f(x[b][None])[0], rel=1e-15)
+        assert np.max(np.abs(d1[b] - u @ grad(x[b]))) < 1e-10 * scale
+        assert np.max(np.abs(d2[b] - want2)) < 1e-10 * scale
 
 
 def test_partials_memory(fd):

@@ -111,6 +111,28 @@ class TestClosedForms:
                               <= 1e-5 * (1.0 + np.abs(exact)))
                     assert np.all(within) if holds else not np.any(within)
 
+    @pytest.mark.parametrize("name", [
+        "quadratic_m2", "quadratic_m3", "quadratic_m4", "type_a", "type_b",
+        "type_c", "polynomial", "soliton"])
+    def test_dy_of_phi(self, name, fd):
+        # dY = Y'(phi) dphi with Y' = Q'' + (m - 1)((phi - c) Q' - Q) /
+        # (phi - c)^2, which is -2 mu of the closed form.  Worst measured
+        # gap: 3.3e-6 of 1 + max|dY| (type_a).  With m in place of m - 1,
+        # the gap is at least 1.2e-3 at every point.
+        chart = closed_form_shell(name)
+        m = chart.meta["m"]
+        for seed in (1, 2, 3):
+            pts = models.sample_points(chart, 40, seed)
+            sp = verify._adapted_split(chart, pts, fd)
+            dy = verify._dy(chart, pts, fd, sp.curv.jet, sp.pot)
+            scale = 1.0 + np.max(np.abs(dy), axis=1)
+            for k, holds in ((m - 1, True), (m, False)):
+                _, mu = closed_form_y_mu(chart, pts, k)
+                gap = np.max(np.abs(dy + 2.0 * mu[:, None] * sp.pot.dphi),
+                             axis=1)
+                within = gap <= 1e-5 * scale
+                assert np.all(within) if holds else not np.any(within)
+
 
 class TestIdentities:
     def test_shell(self, shell_chart, shell_points, fd):
@@ -171,11 +193,12 @@ class TestDirectDQ:
 
 class TestDirectDY:
     """dY from the second-order metric jet, the potential derivatives and
-    the third partials of phi, with no metric on outer points."""
+    the g^-1 trace of the third partials of phi, with no metric on outer
+    points."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_nested_reference(self, fd, family):
-        # Measured: the jet residual reads at most 6.8e-7 (type_b) and the
+        # Measured: the jet residual reads at most 7.3e-7 (type_b) and the
         # gap to the nested dY at most 3.3e-6 of 1 + max|dY| (custom).
         chart = family_shell(family)
         x = models.sample_points(chart, 10, seed=3)
@@ -189,9 +212,29 @@ class TestDirectDY:
         assert np.max(np.abs(dy - nested)) <= 5e-6 * (1.0
                                                       + np.max(np.abs(dy)))
 
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_evaluation_count(self, fd, m):
+        # The gradient cloud of phi around each point of the pure cloud:
+        # (1 + 6n)^2 phi points per point and no metric point.
+        chart = closed_form_shell(f"quadratic_m{m}")
+        pts = models.sample_points(chart, 3, seed=4)
+        sp = verify._adapted_split(chart, pts, fd)
+        seen = {"g": 0, "phi": 0}
+
+        def counted(key, fn):
+            def wrapped(x):
+                seen[key] += len(x)
+                return fn(x)
+            return wrapped
+
+        wrapped = dataclasses.replace(chart, g=counted("g", chart.g),
+                                      phi=counted("phi", chart.phi))
+        verify._dy(wrapped, pts, fd, sp.curv.jet, sp.pot)
+        assert seen == {"g": 0, "phi": len(pts) * (1 + 12 * m) ** 2}
+
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_soliton_gradient_dy(self, pipeline, fd, seed):
-        # Measured: 1.0e-7 / 1.6e-7 / 9.0e-8; the nested dY read 1.6e-5 /
+        # Measured: 1.5e-7 / 9.9e-8 / 7.2e-8; the nested dY read 1.6e-5 /
         # 1.9e-5 / 2.2e-5, above the 1e-5 tolerance.
         chart = pipeline[0]
         pts = models.sample_points(chart, 20, seed)
