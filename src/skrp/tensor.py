@@ -14,9 +14,9 @@ center, the axis points, then one block per coordinate plane, so W is block
 sparse (440 of its 44 x 385 entries are nonzero at n = 8): the first and
 pure second partials read only the center and axis points, and every mixed
 partial applies the same weight vector to its own plane's block.  The
-center-plus-axis part alone (the first-order cloud, 1 + 6n points with
-Richardson) is the pure operator: first and pure second partials.
-Operators are built on first use and cached per (n, richardson, second).
+center-plus-axis part alone is the first-order cloud (1 + 6n points with
+Richardson), so one operator, built on first use and cached per
+(n, richardson), serves first-order, pure and second-order partials.
 A cloud is laid out along the coordinate axes, or along the rows of a
 per-point direction basis where ``partials`` is given one.
 
@@ -24,11 +24,10 @@ Every function below takes a batch of points with points as the leading
 axis, shape (B, n), and returns arrays with the point axis first; one point
 is a batch of one, shape (1, n).  The clouds of a batch go through the
 chart's vectorized callables in chunks of about CHUNK_POINTS stencil points,
-and each chunk is reduced to partials (``Stencil.apply``: the product
-``W @ values``, or for a second-order operator the products of W's nonzero
-blocks) before the next is evaluated, which bounds memory while keeping
-each call large.  The contractions of the metric jet and the curvature are
-batched matrix products over reshaped arrays.
+and each chunk is reduced to partials (``Stencil.apply``: the products of
+W's nonzero blocks) before the next is evaluated, which bounds memory while
+keeping each call large.  The contractions of the metric jet and the
+curvature are batched matrix products over reshaped arrays.
 
 Curvature follows the sign convention
 
@@ -103,74 +102,61 @@ class ChartMetric:
 
 @dataclass(frozen=True)
 class Stencil:
-    """Cloud offsets ``codes`` (P, n) in units of h/2, the center first, and
-    unit-step weights ``W`` (D, P).  Rows 0..n-1 of W are d/dx_i; in a
-    second-order stencil row ``pair[i, j]`` is d2/dx_i dx_j, and in a pure
-    one (no ``pair``, D = 2n) row n + i is d2/dx_i^2.
+    """Cloud offsets ``codes`` (P, n) in units of h/2 and unit-step weights
+    ``W`` (n + n(n+1)/2, P): row i is d/dx_i, row ``pair[i, j]`` d2/dx_i dx_j.
 
-    A second-order cloud is ordered as the center, the A - 1 axis points,
-    then one block of M points per coordinate plane i < j, every block in
-    the same local order.  ``W`` is block sparse in that order, and its
-    nonzero blocks are kept for ``apply``: ``Wa`` (2n, A) holds the rows
-    ``axis_rows`` (the first and pure second partials) on the center and
-    axis columns, and ``w_plane`` (M,) is the one weight vector every mixed
-    row ``mixed_rows[p]`` puts on its own plane's block p."""
+    The cloud is the center, the A - 1 axis points (with the center, the
+    first-order cloud), then one block of M points per plane i < j, every
+    block in the same local order.  ``apply`` uses W's nonzero blocks:
+    ``Wa`` (2n, A), the rows ``axis_rows`` (first, then pure second
+    partials) on the first A columns, so ``Wa[:n]`` is the first-order
+    operator; and ``w_plane`` (M,), the weights every mixed row
+    ``mixed_rows[p]`` puts on block p.  Every array is read-only, since one
+    cached operator serves every caller."""
 
     codes: np.ndarray
     W: np.ndarray
-    pair: Optional[np.ndarray]
-    axis_rows: Optional[np.ndarray] = None
-    Wa: Optional[np.ndarray] = None
-    mixed_rows: Optional[np.ndarray] = None
-    w_plane: Optional[np.ndarray] = None
+    pair: np.ndarray
+    axis_rows: np.ndarray
+    Wa: np.ndarray
+    mixed_rows: np.ndarray
+    w_plane: np.ndarray
 
-    def apply(self, vals: np.ndarray, h: float):
-        """Partials from values on a batch of clouds, (B, P, ...): first
-        partials (B, n, ...) and second partials (B, n, n, ...) or None.
-
-        For a pure operator the second partials are the pure ones,
-        (B, n, ...).  Every row of W sums to zero, so the center value is
-        subtracted first: differences keep the roundoff small, and a
-        constant has exactly zero partials.  A first-order or pure operator
-        is the product ``W @ diff``; a second-order one applies only W's
-        nonzero blocks.
-        """
-        B, n = len(vals), self.codes.shape[1]
+    def apply(self, vals: np.ndarray, h: float, second: bool | str):
+        """First partials (B, n, ...) and second partials or None from
+        values on a batch of clouds (B, P, ...), in the mode ``second`` of
+        ``partials``: False and "pure" read first-order clouds (P = A) and
+        give d2 None or the pure second partials (B, n, ...); True reads
+        whole clouds and gives d2 (B, n, n, ...).  Every row of W sums to
+        zero, so the center value is subtracted first: differences keep the
+        roundoff small, and a constant has exactly zero partials."""
+        B, n, A = len(vals), self.codes.shape[1], self.Wa.shape[1]
         trail = vals.shape[2:]
-        vals = vals.reshape(B, len(self.codes), -1)
+        vals = vals.reshape(B, vals.shape[1], -1)
         diff = vals - vals[:, :1]
-        if self.pair is None:
-            out = self.W @ diff
-            d1 = (out[:, :n] / h).reshape((B, n) + trail)
-            if len(self.W) == n:
-                return d1, None
-            return d1, (out[:, n:] / (h * h)).reshape((B, n) + trail)
-        A, M, T = self.Wa.shape[1], len(self.w_plane), diff.shape[2]
+        axis = (self.Wa if second else self.Wa[:n]) @ diff[:, :A]
+        d1 = (axis[:, :n] / h).reshape((B, n) + trail)
+        if not second:
+            return d1, None
+        if second == "pure":
+            return d1, (axis[:, n:] / (h * h)).reshape((B, n) + trail)
+        M, T = len(self.w_plane), diff.shape[2]
         out = np.empty((B, len(self.W), T))
-        out[:, self.axis_rows] = self.Wa @ diff[:, :A]
+        out[:, self.axis_rows] = axis
         out[:, self.mixed_rows] = self.w_plane @ diff[:, A:].reshape(
             B, len(self.mixed_rows), M, T)
-        d1 = (out[:, :n] / h).reshape((B, n) + trail)
         return d1, (out[:, self.pair] / (h * h)).reshape((B, n, n) + trail)
 
 
 @functools.lru_cache(maxsize=None)
-def stencil(n: int, richardson: bool, second: bool | str) -> Stencil:
+def stencil(n: int, richardson: bool) -> Stencil:
     """The order-4 stencil operator for chart dimension n (Fornberg,
     Math. Comp. 51 (1988) 699-706, gives these weights): the five-point
     first and second differences D1, D2 along each axis and, for a mixed
     partial, (D2 along e_i + e_j - D2 along e_i - e_j) / 4.  With
     Richardson extrapolation each row is 16/15 of its step-h/2 form minus
-    1/15 of its step-h form.
-
-    ``second`` is False (first partials), True (first and second partials)
-    or "pure" (first and pure second partials: the center-plus-axis part of
-    the second-order operator, whose cloud is the first-order one)."""
-    if second == "pure":
-        full = stencil(n, richardson, True)
-        return Stencil(codes=full.codes[:full.Wa.shape[1]], W=full.Wa,
-                       pair=None)
-    pairs = [(i, j) for i in range(n) for j in range(i, n)] if second else []
+    1/15 of its step-h form."""
+    pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {(0,) * n: 0}
     taps = []   # (row, column, weight)
 
@@ -211,10 +197,6 @@ def stencil(n: int, richardson: bool, second: bool | str) -> Stencil:
     for row, col, w in taps:
         W[row, col] += w
     codes = np.array(list(index), dtype=int).reshape(len(index), n)
-    W.flags.writeable = False
-    codes.flags.writeable = False
-    if not second:
-        return Stencil(codes=codes, W=W, pair=None)
     pair = np.empty((n, n), dtype=int)
     for row, (i, j) in enumerate(pairs, start=n):
         pair[i, j] = pair[j, i] = row
@@ -223,7 +205,7 @@ def stencil(n: int, richardson: bool, second: bool | str) -> Stencil:
     M = (len(index) - A) // len(mixed) if mixed else 0
     Wa = W[axis_rows, :A]
     w_plane = W[mixed_rows[0], A:A + M] if mixed else np.zeros(0)
-    for arr in (pair, axis_rows, mixed_rows, Wa, w_plane):
+    for arr in (codes, W, pair, axis_rows, mixed_rows, Wa, w_plane):
         arr.flags.writeable = False
     return Stencil(codes=codes, W=W, pair=pair, axis_rows=axis_rows, Wa=Wa,
                    mixed_rows=mixed_rows, w_plane=w_plane)
@@ -233,9 +215,9 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
              second: bool | str, domain: Optional[Callable] = None,
              basis: Optional[np.ndarray] = None):
     """Values at x, first and second partials of a vectorized ``fn`` at a
-    batch of points x (B, n), as (value, d1, d2 or None).  ``second`` picks
-    the operator as in ``stencil``: with "pure", d2 holds only the pure
-    second partials, (B, n, ...).
+    batch of points x (B, n), as (value, d1, d2 or None).  ``second`` is
+    False, True (d2 (B, n, n, ...)) or "pure" (the pure second partials,
+    d2 (B, n, ...)); False and "pure" evaluate only the first-order cloud.
 
     With a ``basis`` (B, n, n), the cloud of point b is laid out along the
     rows of basis[b] instead of the coordinate axes, so d1[b, k] is the
@@ -250,8 +232,9 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
     if x.ndim != 2:
         raise SkrpError(f"points must have shape (B, n), got {x.shape}")
     B, n = x.shape
-    op = stencil(n, richardson, second)
-    offsets = op.codes * (0.5 * h)
+    op = stencil(n, richardson)
+    codes = op.codes if second is True else op.codes[:op.Wa.shape[1]]
+    offsets = codes * (0.5 * h)
     P = len(offsets)
     per = max(1, CHUNK_POINTS // P)
     values, d1s, d2s = [], [], []
@@ -269,7 +252,7 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
         vals = np.asarray(fn(pts))
         vals = vals.reshape((len(xb), P) + vals.shape[1:])
         values.append(vals[:, 0].copy())    # not a view of the chunk
-        d1, d2 = op.apply(vals, h)
+        d1, d2 = op.apply(vals, h, second)
         d1s.append(d1)
         d2s.append(d2)
 
@@ -355,10 +338,12 @@ class CurvatureTensors:
     ricci: np.ndarray
     scalar: np.ndarray
     jet: MetricJet
+    dgamma: np.ndarray      # dgamma[b, j, l, i, k] = partial_j gamma^l_{ik}
 
 
 def curvature(chart: ChartMetric, x, fd: FDConfig) -> CurvatureTensors:
-    """Riemann (stated sign convention), Ricci, and scalar curvature."""
+    """Riemann (stated sign convention), Ricci, and scalar curvature, with
+    the partials of the Christoffel symbols they are built from."""
     jet = metric_jet(chart, x, fd, second=True)
     dgamma = _gamma_partials(jet)
     gamma = jet.gamma
@@ -375,7 +360,7 @@ def curvature(chart: ChartMetric, x, fd: FDConfig) -> CurvatureTensors:
     ricci = 0.5 * (ricci + np.swapaxes(ricci, 1, 2))
     scalar = np.einsum("bik,bik->b", jet.ginv, ricci)
     return CurvatureTensors(riemann=riemann, ricci=ricci, scalar=scalar,
-                            jet=jet)
+                            jet=jet, dgamma=dgamma)
 
 
 def _gdot(u: np.ndarray, g: np.ndarray, v: np.ndarray) -> np.ndarray:

@@ -37,7 +37,6 @@ from .tensor import (
     _amax,
     _batch_grad_scalar,
     _dginv,
-    _gamma_partials,
     curvature,
     geodesic_batch,
     orthonormal_frame,
@@ -250,10 +249,11 @@ def _dq(jet: MetricJet, pot: PotentialDerivatives) -> np.ndarray:
             + 2.0 * np.einsum("bil,bi->bl", pot.d2phi, pot.grad_phi))
 
 
-def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig, jet: MetricJet,
-        pot: PotentialDerivatives) -> np.ndarray:
-    """dY (B, n) of Y = g^{ij} H_ij, H = Hess(phi), from a second-order
-    metric jet and the potential derivatives at the points:
+def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
+        curv: CurvatureTensors, pot: PotentialDerivatives) -> np.ndarray:
+    """dY (B, n) of Y = g^{ij} H_ij, H = Hess(phi), from the curvature (its
+    second-order metric jet and partial_l gamma) and the potential
+    derivatives at the points:
 
         dY_l = partial_l g^{ij} H_ij + T_l
                - g^{ij} (partial_l gamma^k_ij phi_k + gamma^k_ij phi_kl),
@@ -273,11 +273,12 @@ def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig, jet: MetricJet,
         return partials(chart.phi, pts, 9.0 * fd.h, True, False,
                         domain=chart.domain)[1]
 
+    jet = curv.jet
     lam, vecs = np.linalg.eigh(jet.ginv)
     d2 = partials(grad_phi, points, 3.0 * fd.h, fd.richardson, "pure",
                   basis=np.swapaxes(vecs, 1, 2))[2]     # [b, k, l]
     trace_gamma = np.einsum("bij,bkij->bk", jet.ginv, jet.gamma)
-    trace_dgamma = np.einsum("bij,blkij->blk", jet.ginv, _gamma_partials(jet))
+    trace_dgamma = np.einsum("bij,blkij->blk", jet.ginv, curv.dgamma)
     return (np.einsum("blij,bij->bl", _dginv(jet), pot.hess_phi)
             + np.einsum("bk,bkl->bl", lam, d2)
             - np.einsum("blk,bk->bl", trace_dgamma, pot.dphi)
@@ -336,7 +337,7 @@ def identity_report(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
     if eps in (-1, 1) and c is not None:
         ratio_res = _worst(np.abs(pot.Q - 2.0 * (pot.phi - c) * sigma_h)
                            / (1.0 + np.abs(pot.Q)))
-    dy = _dy(chart, points, fd, sp.curv.jet, pot)
+    dy = _dy(chart, points, fd, sp.curv, pot)
     dy_res = _worst(_amax(dy + 2.0 * mu[:, None] * pot.dphi)
                     / (1.0 + _amax(dy)))
     prof_res = None
@@ -429,7 +430,7 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
     einstein_res = _worst(_amax(rb - lambdas[:, None, None] * np.eye(n))
                           / (1.0 + np.abs(lambdas)))
     dphi = pot.dphi
-    dy = _dy(chart, points, fd, curv.jet, pot)
+    dy = _dy(chart, points, fd, curv, pot)
     wedge = dphi[:, :, None] * dy[:, None, :] - dy[:, :, None] * dphi[:, None, :]
     scale = 1.0 + np.linalg.norm(dphi, axis=1) * np.linalg.norm(dy, axis=1)
     spread = float(np.max(lambdas) - np.min(lambdas)) / (

@@ -132,23 +132,33 @@ def test_cloud_sizes(n):
     # with Richardson each line holds the points of both steps, +-h/2,
     # +-h and +-2h.
     pairs = math.comb(n, 2)
-    assert len(tensor.stencil(n, True, True).codes) == 1 + 6 * n + 12 * pairs
-    assert len(tensor.stencil(n, False, True).codes) == 1 + 4 * n + 8 * pairs
+    assert len(tensor.stencil(n, True).codes) == 1 + 6 * n + 12 * pairs
+    assert len(tensor.stencil(n, False).codes) == 1 + 4 * n + 8 * pairs
+
+
+def head(n, richardson):
+    """Points of the first-order cloud, the operator's first A."""
+    return tensor.stencil(n, richardson).Wa.shape[1]
 
 
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_pure_operator(n, richardson):
-    # The pure operator is the center-plus-axis block of the second-order
-    # one, on the first-order cloud in its order (1 + 6n points with
-    # Richardson).
-    pure = tensor.stencil(n, richardson, "pure")
-    full = tensor.stencil(n, richardson, True)
-    assert np.array_equal(pure.codes,
-                          tensor.stencil(n, richardson, False).codes)
-    assert np.array_equal(pure.codes, full.codes[:full.Wa.shape[1]])
-    assert np.array_equal(pure.W, full.Wa)
-    assert len(pure.codes) == 1 + (6 if richardson else 4) * n
+    # First-order and pure partials read the center-plus-axis block of the
+    # operator: ``partials`` evaluates fn on the first-order cloud, the
+    # first A points in their order (1 + 6n points with Richardson), and Wa
+    # holds W's first and pure second partial rows on those columns.
+    op = tensor.stencil(n, richardson)
+    A = head(n, richardson)
+    assert A == 1 + (6 if richardson else 4) * n
+    assert np.array_equal(op.Wa, op.W[op.axis_rows, :A])
+    assert np.array_equal(op.axis_rows[:n], np.arange(n))
+    x = np.array([np.linspace(0.1, 0.2, n)])
+    for second in (False, "pure"):
+        seen = []
+        tensor.partials(lambda pts: seen.append(pts) or pts[:, 0], x, 0.1,
+                        richardson, second)
+        assert np.array_equal(seen[0], x + op.codes[:A] * 0.05)
 
 
 def _row_weights(op, row):
@@ -157,16 +167,31 @@ def _row_weights(op, row):
             if w != 0.0}
 
 
+def _d1_row(richardson):
+    """Unit-step weights of d/dx by offset code (units of h/2): the
+    five-point D1, (1, -8, 8, -1) / 12 at step h, and with Richardson 16/15
+    of it at step h/2 minus 1/15 of it at step h, summed in that order."""
+    row = {}
+    levels = ((2, -1 / 15), (1, 16 / 15)) if richardson else ((2, 1.0),)
+    for s, coef in levels:
+        for c, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
+            row[c * s] = row.get(c * s, 0.0) + coef * w / (12.0 * 0.5 * s)
+    return row
+
+
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_operator_rows(n, richardson):
-    op = tensor.stencil(n, richardson, True)
+    op = tensor.stencil(n, richardson)
     assert np.all(np.abs(op.W.sum(axis=1))
                   <= 1e-15 * np.abs(op.W).sum(axis=1))
-    # The first-partial rows are those of the first-order operator.
-    first = tensor.stencil(n, richardson, False)
+    # The first-partial rows are the D1 weights along their own axis, on
+    # the first-order cloud only.
     for i in range(n):
-        assert _row_weights(op, i) == _row_weights(first, i)
+        got = _row_weights(op, i)
+        assert got == {tuple(c if k == i else 0 for k in range(n)): w
+                       for c, w in _d1_row(richardson).items()}
+        assert not np.any(op.W[i, head(n, richardson):])
 
 
 def _rel(a, b):
@@ -177,27 +202,34 @@ def _rel(a, b):
 @pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_apply_matches_dense_product(n, richardson, second):
-    # The block apply of a second-order operator against the dense product
-    # that defines it; a first-order or pure operator is that product.
-    op = tensor.stencil(n, richardson, second)
+    # The apply of each mode against the dense product of W's rows that
+    # defines it: first-order and pure partials are the product of their
+    # rows of W on the first A columns exactly, second-order ones the
+    # product of all of W within roundoff.
+    op = tensor.stencil(n, richardson)
     rng = np.random.default_rng(n)
-    P = len(op.codes)
+    A = head(n, richardson)
+    P = len(op.codes) if second is True else A
     for trail in ((), (n, n), (n * n,)):
         vals = 1.0 + 1e-3 * rng.normal(size=(3, P) + trail)
         flat = vals.reshape(3, P, -1)
-        dense = op.W @ (flat - flat[:, :1])
-        d1, d2 = op.apply(vals, 0.1)
-        want1 = (dense[:, :n] / 0.1).reshape((3, n) + trail)
+        diff = flat - flat[:, :1]
+        d1, d2 = op.apply(vals, 0.1, second)
+        if second is True:
+            dense = op.W @ diff
+            want1 = (dense[:, :n] / 0.1).reshape((3, n) + trail)
+            want2 = (dense[:, op.pair] / 0.01).reshape((3, n, n) + trail)
+            assert _rel(d1, want1) <= 1e-13
+            assert _rel(d2, want2) <= 1e-13
+            continue
+        rows = op.axis_rows if second else np.arange(n)
+        dense = op.W[rows, :A] @ diff
+        assert np.array_equal(d1, (dense[:, :n] / 0.1).reshape((3, n) + trail))
         if not second:
-            assert d2 is None and np.array_equal(d1, want1)
+            assert d2 is None
             continue
-        if second == "pure":
-            want2 = (dense[:, n:] / (0.1 * 0.1)).reshape((3, n) + trail)
-            assert np.array_equal(d1, want1) and np.array_equal(d2, want2)
-            continue
-        want2 = (dense[:, op.pair] / 0.01).reshape((3, n, n) + trail)
-        assert _rel(d1, want1) <= 1e-13
-        assert _rel(d2, want2) <= 1e-13
+        want2 = (dense[:, n:] / (0.1 * 0.1)).reshape((3, n) + trail)
+        assert np.array_equal(d2, want2)
 
 
 @pytest.mark.parametrize("richardson", [True, False])
@@ -206,7 +238,7 @@ def test_block_layout(n, richardson):
     # Center, axis points, then one block per plane i < j: the axis rows
     # are zero on the plane columns, and each mixed row is the shared plane
     # weight vector on its own block and zero elsewhere.
-    op = tensor.stencil(n, richardson, True)
+    op = tensor.stencil(n, richardson)
     A, M = op.Wa.shape[1], len(op.w_plane)
     assert M == (12 if richardson else 8)
     assert len(op.codes) == A + math.comb(n, 2) * M
@@ -225,9 +257,28 @@ def test_block_layout(n, richardson):
                               op.codes[A:A + M][:, (0, 1)])
 
 
+@pytest.mark.parametrize("richardson", [True, False])
+def test_cached_operator_is_shared_and_read_only(richardson):
+    # One cached operator per (n, richardson) serves all three modes, so
+    # none of its arrays may be written through.
+    n = 4
+    tensor.stencil.cache_clear()
+    x = np.full((2, n), 0.1)
+    for second in (False, "pure", True):
+        tensor.partials(lambda pts: pts[:, 0] ** 2, x, 0.1, richardson,
+                        second)
+    assert tensor.stencil.cache_info().currsize == 1
+    op = tensor.stencil(n, richardson)
+    for name, value in vars(op).items():
+        assert isinstance(value, np.ndarray), name
+        with pytest.raises(ValueError):
+            value[(0,) * value.ndim] = 1
+
+
 def _batch_over_chunks(rng, n, richardson, second):
     """Points enough that ``partials`` splits them into two chunks."""
-    P = len(tensor.stencil(n, richardson, second).codes)
+    op = tensor.stencil(n, richardson)
+    P = len(op.codes) if second is True else head(n, richardson)
     return rng.uniform(-0.5, 0.5, size=(tensor.CHUNK_POINTS // P + 3, n))
 
 
@@ -250,7 +301,7 @@ def test_identity_basis_bit_identical(n, second):
 def test_basis_exact_on_quartics(n, richardson, second):
     # With a random orthonormal basis per point, the partials are the
     # derivatives along its rows: u_k . grad f and u_k^T H u_l (u_k^T H u_k
-    # for the pure operator).
+    # in the "pure" mode).
     rng = np.random.default_rng(50 + n + 10 * richardson)
     f, grad, hess = _ridge_polynomial(rng, n)
     x = _batch_over_chunks(rng, n, richardson, second)
@@ -278,7 +329,7 @@ def test_partials_memory(fd):
     chart = models.build_shell(models.ShellSpec(m=4, profile=quad, a=1.0,
                                                 eps=1, c=-2.0))
     x = models.sample_points(chart, 12, seed=3)
-    P = len(tensor.stencil(8, fd.richardson, True).codes)
+    P = len(tensor.stencil(8, fd.richardson).codes)
     chunk = max(1, tensor.CHUNK_POINTS // P) * P * 64 * 8
     tensor.partials(chart.g, x, fd.h, fd.richardson, True,
                     domain=chart.domain)     # builds the cached operator
@@ -314,6 +365,7 @@ def test_contractions_match_einsum(k, fd):
     assert _rel(tensor._christoffel(jet.ginv, jet.dg), gamma) <= 1e-12
     assert _rel(jet.gamma, gamma) <= 1e-12
     assert _rel(tensor._gamma_partials(jet), dgamma) <= 1e-12
+    assert np.array_equal(curv.dgamma, tensor._gamma_partials(jet))
     assert _rel(curv.riemann, riemann) <= 1e-12
 
 

@@ -6,7 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from skrp import models, profiles, tensor, verify
+from skrp import cli, models, profiles, tensor, verify
 from skrp.errors import PhiNearZero, StencilOutOfDomain
 from conftest import FAMILIES, euclidean_chart, family_shell, shrunk_shell
 
@@ -124,7 +124,7 @@ class TestClosedForms:
         for seed in (1, 2, 3):
             pts = models.sample_points(chart, 40, seed)
             sp = verify._adapted_split(chart, pts, fd)
-            dy = verify._dy(chart, pts, fd, sp.curv.jet, sp.pot)
+            dy = verify._dy(chart, pts, fd, sp.curv, sp.pot)
             scale = 1.0 + np.max(np.abs(dy), axis=1)
             for k, holds in ((m - 1, True), (m, False)):
                 _, mu = closed_form_y_mu(chart, pts, k)
@@ -203,7 +203,7 @@ class TestDirectDY:
         chart = family_shell(family)
         x = models.sample_points(chart, 10, seed=3)
         sp = verify._adapted_split(chart, x, fd)
-        dy = verify._dy(chart, x, fd, sp.curv.jet, sp.pot)
+        dy = verify._dy(chart, x, fd, sp.curv, sp.pot)
         res = (np.max(np.abs(dy + 2.0 * sp.mu[:, None] * sp.pot.dphi), axis=1)
                / (1.0 + np.max(np.abs(dy), axis=1)))
         assert np.max(res) <= 1e-6
@@ -214,8 +214,8 @@ class TestDirectDY:
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_evaluation_count(self, fd, m):
-        # The gradient cloud of phi around each point of the pure cloud:
-        # (1 + 6n)^2 phi points per point and no metric point.
+        # The gradient cloud of phi around each point of the first-order
+        # cloud: (1 + 6n)^2 phi points per point and no metric point.
         chart = closed_form_shell(f"quadratic_m{m}")
         pts = models.sample_points(chart, 3, seed=4)
         sp = verify._adapted_split(chart, pts, fd)
@@ -229,8 +229,28 @@ class TestDirectDY:
 
         wrapped = dataclasses.replace(chart, g=counted("g", chart.g),
                                       phi=counted("phi", chart.phi))
-        verify._dy(wrapped, pts, fd, sp.curv.jet, sp.pot)
+        verify._dy(wrapped, pts, fd, sp.curv, sp.pot)
         assert seen == {"g": 0, "phi": len(pts) * (1 + 12 * m) ** 2}
+
+    def test_gamma_partials_once(self, fd, monkeypatch):
+        # dY reads the partials of gamma the curvature already built: one
+        # identities check assembles them once.
+        calls = []
+
+        def counted(jet):
+            calls.append(len(jet.g))
+            return gamma_partials(jet)
+
+        gamma_partials = tensor._gamma_partials
+        monkeypatch.setattr(tensor, "_gamma_partials", counted)
+        monkeypatch.setattr(verify, "_gamma_partials", counted,
+                            raising=False)
+        chart = closed_form_shell("quadratic_m2")
+        ctx = cli.ModelContext(chart, None, chart.meta["profile"], "shell")
+        rows = cli.check_identities(ctx, {"points": 4, "tolerance": 1e-5},
+                                    fd, 3)
+        assert all(row.passed for row in rows)
+        assert calls == [4]
 
     @pytest.mark.parametrize("seed", [5, 6, 7])
     def test_soliton_gradient_dy(self, pipeline, fd, seed):
@@ -375,7 +395,7 @@ class TestConformalCurvature:
         chart = dataclasses.replace(matched_type_c, g=g_fn)
         pts = models.sample_points(chart, 6, seed=54)
         verify.conformal_einstein_report(chart, pts, fd)
-        cloud = len(tensor.stencil(chart.n, fd.richardson, True).codes)
+        cloud = len(tensor.stencil(chart.n, fd.richardson).codes)
         assert sum(seen) == len(pts) * cloud
 
 
