@@ -447,7 +447,7 @@ def tautological_connection(y: np.ndarray, fd: FDConfig) -> ConnectionData:
         denom = 1.0 + np.abs(z) ** 2
         return np.conj(z) / denom     # Gamma(e1); Gamma(e2) = i * this
 
-    g1, d, _ = partials(gamma_components, y, fd.h, fd.richardson, False)
+    g1, d, _ = partials(gamma_components, y, fd.h, False)
     # dGamma = (d1 Gamma2 - d2 Gamma1) dy1^dy2 with Gamma2 = i Gamma1.
     dgamma = 1j * d[:, 0] - d[:, 1]
     r2 = np.einsum("bi,bi->b", y, y)

@@ -4,19 +4,18 @@ Charts expose analytic metric and potential values only; every derivative
 here comes from one stencil operator.  For chart dimension n the operator is
 an integer-coded cloud of P offsets in units of h/2 (the five-point order-4
 stencils along each axis and, for second partials, along the diagonals
-e_i + e_j and e_i - e_j of each coordinate plane, at step h and, with
-one-level Richardson extrapolation, also at h/2) and a unit-step weight
-matrix W of shape (n + n(n+1)/2, P): one row per first partial, one per
-second partial, with the Richardson combination folded in.  With Richardson
-the second-order cloud holds P = 1 + 6n + 12 n(n-1)/2 points (97 / 217 / 385
-at n = 4 / 6 / 8), without it 1 + 4n + 8 n(n-1)/2.  It is ordered as the
-center, the axis points, then one block per coordinate plane, so W is block
-sparse (440 of its 44 x 385 entries are nonzero at n = 8): the first and
-pure second partials read only the center and axis points, and every mixed
-partial applies the same weight vector to its own plane's block.  The
-center-plus-axis part alone is the first-order cloud (1 + 6n points with
-Richardson), so one operator, built on first use and cached per
-(n, richardson), serves first-order, pure and second-order partials.
+e_i + e_j and e_i - e_j of each coordinate plane, at steps h and h/2 for
+one level of Richardson extrapolation) and a unit-step weight matrix W of
+shape (n + n(n+1)/2, P): one row per first partial, one per second partial,
+with the Richardson combination folded in.  The second-order cloud holds
+P = 1 + 6n + 12 n(n-1)/2 points (97 / 217 / 385 at n = 4 / 6 / 8).  It is
+ordered as the center, the axis points, then one block per coordinate
+plane, so W is block sparse (440 of its 44 x 385 entries are nonzero at
+n = 8): the first and pure second partials read only the center and axis
+points, and every mixed partial applies the same weight vector to its own
+plane's block.  The center-plus-axis part alone is the first-order cloud
+(1 + 6n points), so one operator, built on first use and cached per n,
+serves first-order, pure and second-order partials.
 A cloud is laid out along the coordinate axes, or along the rows of a
 per-point direction basis where ``partials`` is given one.
 
@@ -45,6 +44,7 @@ curvature K has Ricci = +K g, which the test suite pins.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -67,15 +67,15 @@ _D2 = ((-2, -1.0), (-1, 16.0), (0, -30.0), (1, 16.0), (2, -1.0))  # / 12 h^2
 @dataclass(frozen=True)
 class FDConfig:
     """Finite-difference configuration: the step h in chart coordinates of
-    the order-4 five-point stencils, and whether one level of Richardson
-    extrapolation (steps h and h/2) is applied."""
+    the order-4 five-point stencils, which are extrapolated from steps h and
+    h/2."""
 
     h: float = 1.0e-3
-    richardson: bool = True
 
     def __post_init__(self):
-        if not self.h > 0:
-            raise BadParams("FDConfig.h must be positive")
+        if not (math.isfinite(self.h) and self.h > 0):
+            raise BadParams(f"FDConfig.h must be finite and positive, got "
+                            f"{self.h!r}")
 
 
 @dataclass(frozen=True)
@@ -149,13 +149,13 @@ class Stencil:
 
 
 @functools.lru_cache(maxsize=None)
-def stencil(n: int, richardson: bool) -> Stencil:
+def stencil(n: int) -> Stencil:
     """The order-4 stencil operator for chart dimension n (Fornberg,
     Math. Comp. 51 (1988) 699-706, gives these weights): the five-point
     first and second differences D1, D2 along each axis and, for a mixed
-    partial, (D2 along e_i + e_j - D2 along e_i - e_j) / 4.  With
-    Richardson extrapolation each row is 16/15 of its step-h/2 form minus
-    1/15 of its step-h form."""
+    partial, (D2 along e_i + e_j - D2 along e_i - e_j) / 4.  Each row is
+    extrapolated by one level of Richardson: 16/15 of its step-h/2 form
+    minus 1/15 of its step-h form."""
     pairs = [(i, j) for i in range(n) for j in range(i, n)]
     index = {(0,) * n: 0}
     taps = []   # (row, column, weight)
@@ -176,7 +176,7 @@ def stencil(n: int, richardson: bool) -> Stencil:
                 tap(row, frac * coef * w / (12.0 * step * step),
                     (i, c * s), (j, dj * c * s))
 
-    levels = ((2, -1.0 / 15.0), (1, 16.0 / 15.0)) if richardson else ((2, 1.0),)
+    levels = ((2, -1.0 / 15.0), (1, 16.0 / 15.0))     # (step in h/2, weight)
     diag = [(row, i) for row, (i, j) in enumerate(pairs, start=n) if i == j]
     mixed = [(row, i, j) for row, (i, j) in enumerate(pairs, start=n) if i < j]
     # The first partials place the axis points after the center; the pure
@@ -211,13 +211,14 @@ def stencil(n: int, richardson: bool) -> Stencil:
                    mixed_rows=mixed_rows, w_plane=w_plane)
 
 
-def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
-             second: bool | str, domain: Optional[Callable] = None,
+def partials(fn: Callable, x: np.ndarray, h: float, second: bool | str,
+             domain: Optional[Callable] = None,
              basis: Optional[np.ndarray] = None):
     """Values at x, first and second partials of a vectorized ``fn`` at a
-    batch of points x (B, n), as (value, d1, d2 or None).  ``second`` is
-    False, True (d2 (B, n, n, ...)) or "pure" (the pure second partials,
-    d2 (B, n, ...)); False and "pure" evaluate only the first-order cloud.
+    nonempty batch of points x (B, n), as (value, d1, d2 or None).
+    ``second`` is False, True (d2 (B, n, n, ...)) or "pure" (the pure second
+    partials, d2 (B, n, ...)); False and "pure" evaluate only the
+    first-order cloud.
 
     With a ``basis`` (B, n, n), the cloud of point b is laid out along the
     rows of basis[b] instead of the coordinate axes, so d1[b, k] is the
@@ -229,10 +230,11 @@ def partials(fn: Callable, x: np.ndarray, h: float, richardson: bool,
     point) and reduced by W.  Every cloud keeps its center, the value at x.
     The clouds are evaluated in chunks of about CHUNK_POINTS points.
     """
-    if x.ndim != 2:
-        raise SkrpError(f"points must have shape (B, n), got {x.shape}")
+    if x.ndim != 2 or len(x) == 0:
+        raise SkrpError(f"points must be a nonempty batch of shape (B, n), "
+                        f"got {x.shape}")
     B, n = x.shape
-    op = stencil(n, richardson)
+    op = stencil(n)
     codes = op.codes if second is True else op.codes[:op.Wa.shape[1]]
     offsets = codes * (0.5 * h)
     P = len(offsets)
@@ -285,8 +287,7 @@ class MetricJet:
 
 def metric_jet(chart: ChartMetric, x, fd: FDConfig,
                second: bool = True) -> MetricJet:
-    g, dg, d2g = partials(chart.g, x, fd.h, fd.richardson, second,
-                          domain=chart.domain)
+    g, dg, d2g = partials(chart.g, x, fd.h, second, domain=chart.domain)
     ev = np.linalg.eigvalsh(g)
     bad = (ev[:, 0] <= 0) | (ev[:, 0] < 1e-14 * ev[:, -1])
     if np.any(bad):
@@ -421,8 +422,7 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
     Q = g(grad, grad) of the chart potential."""
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
-    phi, dphi, d2phi = partials(chart.phi, x, fd.h, fd.richardson, True,
-                                domain=chart.domain)
+    phi, dphi, d2phi = partials(chart.phi, x, fd.h, True, domain=chart.domain)
     hess = d2phi - np.einsum("bkij,bk->bij", jet.gamma, dphi)
     hess = 0.5 * (hess + np.swapaxes(hess, 1, 2))
     grad = np.einsum("bij,bj->bi", jet.ginv, dphi)
@@ -436,8 +436,7 @@ def _batch_grad_scalar(chart: ChartMetric, fn, pts: np.ndarray,
                        fd: FDConfig) -> np.ndarray:
     """Euclidean gradient (B, n) of a scalar function at a batch of points,
     from one ``partials`` call with no domain check."""
-    return partials(fn, np.asarray(pts, dtype=float), fd.h, fd.richardson,
-                    False)[1]
+    return partials(fn, np.asarray(pts, dtype=float), fd.h, False)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -467,8 +466,7 @@ def _geodesic_acceleration(chart: ChartMetric, x: np.ndarray, v: np.ndarray,
     - 1/2 d_l g(v, v), which is g_{lk} gamma^k(v, v), and g a = -r is
     solved: no Christoffel tensor and no inverse metric are formed.
     """
-    g, dg, _ = partials(chart.g, x, fd.h, fd.richardson, False,
-                        domain=chart.domain)
+    g, dg, _ = partials(chart.g, x, fd.h, False, domain=chart.domain)
     # dgv[b, l, j] = (d_l g)_{jk} v^k
     dgv = (dg @ v[:, None, :, None])[..., 0]
     r = (v[:, None, :] @ dgv)[:, 0] - 0.5 * (dgv @ v[:, :, None])[..., 0]

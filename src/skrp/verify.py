@@ -270,12 +270,12 @@ def _dy(chart: ChartMetric, points: np.ndarray, fd: FDConfig,
     difference below its truncation error."""
 
     def grad_phi(pts):
-        return partials(chart.phi, pts, 9.0 * fd.h, True, False,
+        return partials(chart.phi, pts, 9.0 * fd.h, False,
                         domain=chart.domain)[1]
 
     jet = curv.jet
     lam, vecs = np.linalg.eigh(jet.ginv)
-    d2 = partials(grad_phi, points, 3.0 * fd.h, fd.richardson, "pure",
+    d2 = partials(grad_phi, points, 3.0 * fd.h, "pure",
                   basis=np.swapaxes(vecs, 1, 2))[2]     # [b, k, l]
     trace_gamma = np.einsum("bij,bkij->bk", jet.ginv, jet.gamma)
     trace_dgamma = np.einsum("bij,blkij->blk", jet.ginv, curv.dgamma)
@@ -308,7 +308,7 @@ def y_field(chart: ChartMetric, fd: FDConfig) -> Callable:
     first-order ``partials`` call at step 9h, is the tests' nested
     reference for it.
     """
-    fd_inner = FDConfig(h=3.0 * fd.h, richardson=fd.richardson)
+    fd_inner = FDConfig(h=3.0 * fd.h)
 
     def yf(pts):
         return potential_derivatives(chart, pts, fd_inner).Y
@@ -473,7 +473,7 @@ def _path_dphids_res(chart: ChartMetric, profile: Profile, sgn_a: float,
     dphi/ds = dphi(x) . v read off the recorded state; normalized per ray."""
     B, S, n = path.x.shape
     pts = path.x.reshape(-1, n)
-    phis, dphi, _ = partials(chart.phi, pts, fd.h, fd.richardson, False)
+    phis, dphi, _ = partials(chart.phi, pts, fd.h, False)
     dphids = np.einsum("bi,bi->b", dphi, path.v.reshape(-1, n))
     q = np.clip(np.asarray(profile.q(phis), dtype=float), 0.0, None)
     expect = (sgn_a * np.sqrt(q)).reshape(B, S)

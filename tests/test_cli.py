@@ -149,10 +149,8 @@ class TestRunConfig:
             cli.run_config(bad)
 
     def test_fd_keys(self):
-        assert cli.parse_fd({"h": 2e-3, "richardson": False}) == \
-            tensor.FDConfig(h=2e-3, richardson=False)
-        assert [f.name for f in dataclasses.fields(tensor.FDConfig)] == \
-            ["h", "richardson"]
+        assert cli.parse_fd({"h": 2e-3}) == tensor.FDConfig(h=2e-3)
+        assert [f.name for f in dataclasses.fields(tensor.FDConfig)] == ["h"]
         with pytest.raises(ConfigError):
             cli.parse_fd({"order": 4})
 
@@ -347,7 +345,7 @@ def check_lines(text):
 def cloud(second):
     """Points of the n = 4 stencil cloud at the default configuration: the
     whole cloud for second partials, its first-order head otherwise."""
-    op = tensor.stencil(4, True)
+    op = tensor.stencil(4)
     return len(op.codes) if second else op.Wa.shape[1]
 
 
@@ -532,6 +530,14 @@ class TestMainEntry:
         cfg.write_text(json.dumps({"model": {"variant": "torus"},
                                    "checks": []}))
         assert cli.main(["verify", "--config", str(cfg)]) == 2
+
+    def test_fd_richardson_is_unknown(self, tmp_path, capsys):
+        # Richardson extrapolation is part of the stencil, not an option.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(patched(SPHERE_CONFIG, "fd",
+                                          {"richardson": True})))
+        assert cli.main(["verify", "--config", str(cfg)]) == 2
+        assert "fd: unknown keys ['richardson']" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, config", BAD_INPUTS.values(),
                              ids=BAD_INPUTS)

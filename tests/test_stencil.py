@@ -109,55 +109,52 @@ def _ridge_polynomial(rng, n):
     return f, grad, hess
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_weights_exact_on_quartics(n, richardson):
-    rng = np.random.default_rng(n + 10 * richardson)
+def test_weights_exact_on_quartics(n):
+    rng = np.random.default_rng(n + 10)
     f, grad, hess = _ridge_polynomial(rng, n)
     x = rng.uniform(-0.5, 0.5, size=(3, n))
     h = 0.1
-    value, d1, d2 = tensor.partials(f, x, h, richardson, True)
+    value, d1, d2 = tensor.partials(f, x, h, True)
     for b in range(len(x)):
         scale = 1.0 + np.max(np.abs(hess(x[b])))
         assert value[b] == pytest.approx(f(x[b][None])[0], rel=1e-15)
         assert np.max(np.abs(d1[b] - grad(x[b]))) < 1e-9 * scale
         assert np.max(np.abs(d2[b] - hess(x[b]))) < 1e-9 * scale
-    first = tensor.partials(f, x, h, richardson, False)[1]
+    first = tensor.partials(f, x, h, False)[1]
     assert np.max(np.abs(first - d1)) < 1e-9 * (1.0 + np.max(np.abs(d1)))
 
 
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_cloud_sizes(n):
     # Center, the axis lines and two diagonal lines per coordinate plane;
-    # with Richardson each line holds the points of both steps, +-h/2,
-    # +-h and +-2h.
+    # for the Richardson steps each line holds the points of both steps,
+    # +-h/2, +-h and +-2h.
     pairs = math.comb(n, 2)
-    assert len(tensor.stencil(n, True).codes) == 1 + 6 * n + 12 * pairs
-    assert len(tensor.stencil(n, False).codes) == 1 + 4 * n + 8 * pairs
+    assert len(tensor.stencil(n).codes) == 1 + 6 * n + 12 * pairs
 
 
-def head(n, richardson):
+def head(n):
     """Points of the first-order cloud, the operator's first A."""
-    return tensor.stencil(n, richardson).Wa.shape[1]
+    return tensor.stencil(n).Wa.shape[1]
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_pure_operator(n, richardson):
+def test_pure_operator(n):
     # First-order and pure partials read the center-plus-axis block of the
     # operator: ``partials`` evaluates fn on the first-order cloud, the
-    # first A points in their order (1 + 6n points with Richardson), and Wa
-    # holds W's first and pure second partial rows on those columns.
-    op = tensor.stencil(n, richardson)
-    A = head(n, richardson)
-    assert A == 1 + (6 if richardson else 4) * n
+    # first A = 1 + 6n points in their order, and Wa holds W's first and
+    # pure second partial rows on those columns.
+    op = tensor.stencil(n)
+    A = head(n)
+    assert A == 1 + 6 * n
     assert np.array_equal(op.Wa, op.W[op.axis_rows, :A])
     assert np.array_equal(op.axis_rows[:n], np.arange(n))
     x = np.array([np.linspace(0.1, 0.2, n)])
     for second in (False, "pure"):
         seen = []
         tensor.partials(lambda pts: seen.append(pts) or pts[:, 0], x, 0.1,
-                        richardson, second)
+                        second)
         assert np.array_equal(seen[0], x + op.codes[:A] * 0.05)
 
 
@@ -167,22 +164,20 @@ def _row_weights(op, row):
             if w != 0.0}
 
 
-def _d1_row(richardson):
+def _d1_row():
     """Unit-step weights of d/dx by offset code (units of h/2): the
-    five-point D1, (1, -8, 8, -1) / 12 at step h, and with Richardson 16/15
+    five-point D1, (1, -8, 8, -1) / 12, extrapolated by Richardson as 16/15
     of it at step h/2 minus 1/15 of it at step h, summed in that order."""
     row = {}
-    levels = ((2, -1 / 15), (1, 16 / 15)) if richardson else ((2, 1.0),)
-    for s, coef in levels:
+    for s, coef in ((2, -1 / 15), (1, 16 / 15)):
         for c, w in ((-2, 1.0), (-1, -8.0), (1, 8.0), (2, -1.0)):
             row[c * s] = row.get(c * s, 0.0) + coef * w / (12.0 * 0.5 * s)
     return row
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_operator_rows(n, richardson):
-    op = tensor.stencil(n, richardson)
+def test_operator_rows(n):
+    op = tensor.stencil(n)
     assert np.all(np.abs(op.W.sum(axis=1))
                   <= 1e-15 * np.abs(op.W).sum(axis=1))
     # The first-partial rows are the D1 weights along their own axis, on
@@ -190,8 +185,8 @@ def test_operator_rows(n, richardson):
     for i in range(n):
         got = _row_weights(op, i)
         assert got == {tuple(c if k == i else 0 for k in range(n)): w
-                       for c, w in _d1_row(richardson).items()}
-        assert not np.any(op.W[i, head(n, richardson):])
+                       for c, w in _d1_row().items()}
+        assert not np.any(op.W[i, head(n):])
 
 
 def _rel(a, b):
@@ -199,16 +194,15 @@ def _rel(a, b):
 
 
 @pytest.mark.parametrize("second", [True, False, "pure"])
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_apply_matches_dense_product(n, richardson, second):
+def test_apply_matches_dense_product(n, second):
     # The apply of each mode against the dense product of W's rows that
     # defines it: first-order and pure partials are the product of their
     # rows of W on the first A columns exactly, second-order ones the
     # product of all of W within roundoff.
-    op = tensor.stencil(n, richardson)
+    op = tensor.stencil(n)
     rng = np.random.default_rng(n)
-    A = head(n, richardson)
+    A = head(n)
     P = len(op.codes) if second is True else A
     for trail in ((), (n, n), (n * n,)):
         vals = 1.0 + 1e-3 * rng.normal(size=(3, P) + trail)
@@ -232,15 +226,14 @@ def test_apply_matches_dense_product(n, richardson, second):
         assert np.array_equal(d2, want2)
 
 
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_block_layout(n, richardson):
+def test_block_layout(n):
     # Center, axis points, then one block per plane i < j: the axis rows
     # are zero on the plane columns, and each mixed row is the shared plane
     # weight vector on its own block and zero elsewhere.
-    op = tensor.stencil(n, richardson)
+    op = tensor.stencil(n)
     A, M = op.Wa.shape[1], len(op.w_plane)
-    assert M == (12 if richardson else 8)
+    assert M == 12
     assert len(op.codes) == A + math.comb(n, 2) * M
     assert np.array_equal(op.Wa, op.W[op.axis_rows, :A])
     assert not np.any(op.W[op.axis_rows, A:])
@@ -257,28 +250,26 @@ def test_block_layout(n, richardson):
                               op.codes[A:A + M][:, (0, 1)])
 
 
-@pytest.mark.parametrize("richardson", [True, False])
-def test_cached_operator_is_shared_and_read_only(richardson):
-    # One cached operator per (n, richardson) serves all three modes, so
-    # none of its arrays may be written through.
+def test_cached_operator_is_shared_and_read_only():
+    # One cached operator per n serves all three modes, so none of its
+    # arrays may be written through.
     n = 4
     tensor.stencil.cache_clear()
     x = np.full((2, n), 0.1)
     for second in (False, "pure", True):
-        tensor.partials(lambda pts: pts[:, 0] ** 2, x, 0.1, richardson,
-                        second)
+        tensor.partials(lambda pts: pts[:, 0] ** 2, x, 0.1, second)
     assert tensor.stencil.cache_info().currsize == 1
-    op = tensor.stencil(n, richardson)
+    op = tensor.stencil(n)
     for name, value in vars(op).items():
         assert isinstance(value, np.ndarray), name
         with pytest.raises(ValueError):
             value[(0,) * value.ndim] = 1
 
 
-def _batch_over_chunks(rng, n, richardson, second):
+def _batch_over_chunks(rng, n, second):
     """Points enough that ``partials`` splits them into two chunks."""
-    op = tensor.stencil(n, richardson)
-    P = len(op.codes) if second is True else head(n, richardson)
+    op = tensor.stencil(n)
+    P = len(op.codes) if second is True else head(n)
     return rng.uniform(-0.5, 0.5, size=(tensor.CHUNK_POINTS // P + 3, n))
 
 
@@ -287,28 +278,26 @@ def _batch_over_chunks(rng, n, richardson, second):
 def test_identity_basis_bit_identical(n, second):
     rng = np.random.default_rng(40 + n)
     f, _, _ = _ridge_polynomial(rng, n)
-    x = _batch_over_chunks(rng, n, True, second)
+    x = _batch_over_chunks(rng, n, second)
     eye = np.broadcast_to(np.eye(n), (len(x), n, n))
-    plain = tensor.partials(f, x, 0.1, True, second)
-    along = tensor.partials(f, x, 0.1, True, second, basis=eye)
+    plain = tensor.partials(f, x, 0.1, second)
+    along = tensor.partials(f, x, 0.1, second, basis=eye)
     for a, b in zip(plain, along):
         assert (a is None and b is None) or np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("second", [True, "pure"])
-@pytest.mark.parametrize("richardson", [True, False])
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
-def test_basis_exact_on_quartics(n, richardson, second):
+def test_basis_exact_on_quartics(n, second):
     # With a random orthonormal basis per point, the partials are the
     # derivatives along its rows: u_k . grad f and u_k^T H u_l (u_k^T H u_k
     # in the "pure" mode).
-    rng = np.random.default_rng(50 + n + 10 * richardson)
+    rng = np.random.default_rng(60 + n)
     f, grad, hess = _ridge_polynomial(rng, n)
-    x = _batch_over_chunks(rng, n, richardson, second)
+    x = _batch_over_chunks(rng, n, second)
     basis = np.swapaxes(np.linalg.qr(rng.normal(size=(len(x), n, n)))[0],
                         1, 2)
-    value, d1, d2 = tensor.partials(f, x, 0.1, richardson, second,
-                                    basis=basis)
+    value, d1, d2 = tensor.partials(f, x, 0.1, second, basis=basis)
     for b in range(len(x)):
         u, H = basis[b], hess(x[b])
         scale = 1.0 + np.max(np.abs(H))
@@ -329,14 +318,13 @@ def test_partials_memory(fd):
     chart = models.build_shell(models.ShellSpec(m=4, profile=quad, a=1.0,
                                                 eps=1, c=-2.0))
     x = models.sample_points(chart, 12, seed=3)
-    P = len(tensor.stencil(8, fd.richardson).codes)
+    P = len(tensor.stencil(8).codes)
     chunk = max(1, tensor.CHUNK_POINTS // P) * P * 64 * 8
-    tensor.partials(chart.g, x, fd.h, fd.richardson, True,
+    tensor.partials(chart.g, x, fd.h, True,
                     domain=chart.domain)     # builds the cached operator
     tracemalloc.start()
     try:
-        tensor.partials(chart.g, x, fd.h, fd.richardson, True,
-                        domain=chart.domain)
+        tensor.partials(chart.g, x, fd.h, True, domain=chart.domain)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

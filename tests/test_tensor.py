@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from skrp import models, tensor, verify
-from skrp.errors import SkrpError, StencilOutOfDomain
+from skrp.errors import BadParams, SkrpError, StencilOutOfDomain
 from conftest import FAMILIES, euclidean_chart, family_shell
 
 
@@ -121,18 +121,19 @@ class TestCurvature:
             assert np.max(np.abs(val)) < 1e-7 * scale
 
     def test_fd_convergence_order(self):
-        # With Richardson off and steps where truncation dominates, halving
-        # h must reduce the sphere curvature error by at least 8x.
+        # At steps where truncation dominates (h = 0.02 is already within a
+        # few times the roundoff floor), halving h must reduce the sphere
+        # curvature error by at least 32x: order >= 5 with Richardson
+        # (measured 55.8x).
         K = 4.0
         ch = sphere_chart(K)
         x = np.array([[0.35, 0.15]])
         g = np.asarray(ch.g(x))
         errs = []
-        for h in (0.04, 0.02):
-            curv = tensor.curvature(ch, x,
-                                    tensor.FDConfig(h=h, richardson=False))
+        for h in (0.08, 0.04):
+            curv = tensor.curvature(ch, x, tensor.FDConfig(h=h))
             errs.append(np.max(np.abs(curv.ricci - K * g)))
-        assert errs[0] / errs[1] >= 8.0
+        assert errs[0] / errs[1] >= 32.0
 
     def test_fd_convergence_order_mixed(self):
         # The product H^2 x S^2 (n = 4): Ric = -K g on the base block and
@@ -148,14 +149,15 @@ class TestCurvature:
         ric_exact = np.array([-K, -K, K, K])[:, None] * g
         hess_exact = np.diag([0.0, 0.0, 1.0, 1.0]) @ g * (-K * ch.phi(x)[0])
         ric_errs, hess_errs = [], []
-        for h in (0.04, 0.02):
-            fd = tensor.FDConfig(h=h, richardson=False)
+        for h in (0.08, 0.04):
+            fd = tensor.FDConfig(h=h)
             curv = tensor.curvature(ch, x, fd)
             pot = tensor.potential_derivatives(ch, x, fd, jet=curv.jet)
             ric_errs.append(np.max(np.abs(curv.ricci[0] - ric_exact)))
             hess_errs.append(np.max(np.abs(pot.hess_phi[0] - hess_exact)))
-        assert ric_errs[0] / ric_errs[1] >= 8.0
-        assert hess_errs[0] / hess_errs[1] >= 8.0
+        # Order >= 5 in both (measured 67.6x and 62.9x).
+        assert ric_errs[0] / ric_errs[1] >= 32.0
+        assert hess_errs[0] / hess_errs[1] >= 32.0
 
 
 class TestPotential:
@@ -306,7 +308,7 @@ class TestGeodesics:
         x0 = models.sample_points(shell_chart, 3, seed=4)
         path = tensor.geodesic_batch(ch, x0, x0, 0.05, fd, n_steps=8)
         assert path.alive.all()
-        P = tensor.stencil(4, fd.richardson).Wa.shape[1]
+        P = tensor.stencil(4).Wa.shape[1]
         assert calls["domain"] == [3 * P] * (4 * 8)
         assert calls["g"] == [3] + [3 * P] * (4 * 8)
         assert calls["partials"] == [3] * (4 * 8)
@@ -360,7 +362,7 @@ def killing_roundoff_bound(fd, n, phi_max):
     Symmetrizing, or forming J^T H J - H, at most doubles these, and the
     normalizations 1 + max|.| are at least 1.
     """
-    op = tensor.stencil(n, fd.richardson)
+    op = tensor.stencil(n)
     sums = np.sum(np.abs(op.W), axis=1)
     s1, s2 = np.max(sums[:n]), np.max(sums[n:])
     eps = np.finfo(float).eps
@@ -435,8 +437,7 @@ def nested_killing_field(chart, x, fd):
         dphis = tensor._batch_grad_scalar(chart, chart.phi, pts, fd)
         return np.einsum("blm,bm->bl", ginvs, dphis) @ chart.J.T
 
-    u, du, _ = tensor.partials(u_field, x, fd.h, fd.richardson, False,
-                               domain=chart.domain)
+    u, du, _ = tensor.partials(u_field, x, fd.h, False, domain=chart.domain)
     return u, du
 
 
@@ -496,8 +497,8 @@ class TestKillingField:
                                  phi=counted("phi", shell_chart.phi))
         tensor.killing_residual(ch, models.sample_points(ch, 3, seed=4), fd)
         n = ch.n
-        first = tensor.stencil(n, fd.richardson).Wa.shape[1]
-        second = len(tensor.stencil(n, fd.richardson).codes)
+        first = tensor.stencil(n).Wa.shape[1]
+        second = len(tensor.stencil(n).codes)
         assert (first, second) == (1 + 6 * n, 97)
         assert calls == {"g": [3 * first], "phi": [3 * second]}
 
@@ -533,3 +534,18 @@ class TestPointShapes:
         with pytest.raises(SkrpError, match=r"\(B, n\), got " +
                            re.escape(str(shape))):
             models.ball_metric(quadratic_profile, -1.0, 1.0, x)
+
+    def test_empty_batch(self, fd, shell_chart):
+        x = np.zeros((0, 4))
+        for call in (lambda: tensor.metric_jet(shell_chart, x, fd),
+                     lambda: verify.skrp_report(shell_chart, x, fd),
+                     lambda: tensor.geodesic_batch(shell_chart, x, x, 1.0, fd,
+                                                   n_steps=8)):
+            with pytest.raises(SkrpError, match=r"got \(0, 4\)$"):
+                call()
+
+
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, 0.0])
+def test_fd_step_finite_positive(h):
+    with pytest.raises(BadParams):
+        tensor.FDConfig(h=h)

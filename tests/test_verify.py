@@ -162,14 +162,14 @@ class TestDirectDQ:
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_nested_reference(self, fd, family):
-        # Worst measured gap: 3.6e-8 of 1 + max|dQ| (custom).
+        # Worst measured gap: 9.6e-9 of 1 + max|dQ| (polynomial).
         chart = family_shell(family)
         x = models.sample_points(chart, 10, seed=3)
         jet = tensor.metric_jet(chart, x, fd, second=False)
         dq = verify._dq(jet, tensor.potential_derivatives(chart, x, fd,
                                                           jet=jet))
         nested = tensor.partials(verify.q_field(chart, fd), x, 3.0 * fd.h,
-                                 False, False)[1]
+                                 False)[1]
         assert np.max(np.abs(dq - nested)) <= 5e-7 * (1.0
                                                        + np.max(np.abs(dq)))
 
@@ -199,7 +199,7 @@ class TestDirectDY:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_matches_nested_reference(self, fd, family):
         # Measured: the jet residual reads at most 7.3e-7 (type_b) and the
-        # gap to the nested dY at most 3.3e-6 of 1 + max|dY| (custom).
+        # gap to the nested dY at most 1.1e-7 of 1 + max|dY| (type_a).
         chart = family_shell(family)
         x = models.sample_points(chart, 10, seed=3)
         sp = verify._adapted_split(chart, x, fd)
@@ -208,7 +208,7 @@ class TestDirectDY:
                / (1.0 + np.max(np.abs(dy), axis=1)))
         assert np.max(res) <= 1e-6
         nested = tensor.partials(verify.y_field(chart, fd), x, 9.0 * fd.h,
-                                 False, False)[1]
+                                 False)[1]
         assert np.max(np.abs(dy - nested)) <= 5e-6 * (1.0
                                                       + np.max(np.abs(dy)))
 
@@ -395,7 +395,7 @@ class TestConformalCurvature:
         chart = dataclasses.replace(matched_type_c, g=g_fn)
         pts = models.sample_points(chart, 6, seed=54)
         verify.conformal_einstein_report(chart, pts, fd)
-        cloud = len(tensor.stencil(chart.n, fd.richardson).codes)
+        cloud = len(tensor.stencil(chart.n).codes)
         assert sum(seen) == len(pts) * cloud
 
 
