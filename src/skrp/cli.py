@@ -22,11 +22,8 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
-import threading
 import types
-from concurrent.futures import ThreadPoolExecutor
 from typing import (Callable, Optional, Union, get_args, get_origin,
                     get_type_hints)
 
@@ -148,42 +145,39 @@ class SampleSet:
     The first-order part of a second-order jet is the first-order jet bit
     for bit, so every check reads the numbers it would evaluate alone.  An
     evaluation that raises keeps nothing, so the next check that asks
-    evaluates it again and meets the same error."""
+    evaluates it again and meets the same error.  It holds no lock: the
+    checks of a run ask one at a time."""
 
     def __init__(self, chart: tensor.ChartMetric, points: np.ndarray,
                  fd: tensor.FDConfig):
         self.chart, self.points, self.fd = chart, points, fd
         points.flags.writeable = False
         self._jet = self._curv = self._pot = None
-        self._lock = threading.RLock()   # checks may run in threads
 
     def jet(self) -> tensor.MetricJet:
-        with self._lock:
-            if self._jet is None:
-                self._jet = tensor.metric_jet(self.chart, self.points,
-                                              self.fd, second=False)
-            return self._jet
+        if self._jet is None:
+            self._jet = tensor.metric_jet(self.chart, self.points, self.fd,
+                                          second=False)
+        return self._jet
 
     def curvature(self) -> tensor.CurvatureTensors:
-        with self._lock:
-            if self._curv is None:
-                self._curv = tensor.curvature(self.chart, self.points,
-                                              self.fd)
-                self._jet = self._curv.jet
-            return self._curv
+        if self._curv is None:
+            self._curv = tensor.curvature(self.chart, self.points, self.fd)
+            self._jet = self._curv.jet
+        return self._curv
 
     def potential(self) -> tensor.PotentialDerivatives:
-        with self._lock:
-            if self._pot is None:
-                self._pot = tensor.potential_derivatives(
-                    self.chart, self.points, self.fd, jet=self.jet())
-            return self._pot
+        if self._pot is None:
+            self._pot = tensor.potential_derivatives(
+                self.chart, self.points, self.fd, jet=self.jet())
+        return self._pot
 
 
 @dataclasses.dataclass
 class ModelContext:
     """A run's model, and the sample-point sets its checks have asked for,
-    held as long as the context."""
+    held as long as the context and shared by the checks that ask for the
+    same set."""
 
     chart: Optional[tensor.ChartMetric]
     sphere: Optional[models.SphereModel]
@@ -191,21 +185,16 @@ class ModelContext:
     variant: str
     _sample_sets: dict = dataclasses.field(
         default_factory=dict, init=False, repr=False, compare=False)
-    _lock: threading.Lock = dataclasses.field(
-        default_factory=threading.Lock, init=False, repr=False,
-        compare=False)
 
     def sample_set(self, count: int, seed: int,
                    fd: tensor.FDConfig) -> SampleSet:
         """The set of ``count`` points sampled with ``seed``: checks that
         ask with the same arguments share it."""
-        with self._lock:
-            key = (count, seed, fd)
-            if key not in self._sample_sets:
-                self._sample_sets[key] = SampleSet(
-                    self.chart, models.sample_points(self.chart, count, seed),
-                    fd)
-            return self._sample_sets[key]
+        key = (count, seed, fd)
+        if key not in self._sample_sets:
+            self._sample_sets[key] = SampleSet(
+                self.chart, models.sample_points(self.chart, count, seed), fd)
+        return self._sample_sets[key]
 
 
 def parse_model(node: dict, profile: Optional[profiles.Profile]
@@ -481,7 +470,7 @@ CHECK_PARAMS: dict[str, dict] = {
 
 def _resolve(entry: dict, tol_scale: float) -> tuple[str, dict]:
     """Check name and parameters of a plan entry: numbers of the default's
-    type (float if required), points > 0, tolerance times tol_scale."""
+    type (float if required), points > 0, tolerance >= 0 times tol_scale."""
     name = _kind(entry, "name", CHECKS, "checks[]")
     table = CHECK_PARAMS[name]
     where = f"checks.{name}"
@@ -493,6 +482,9 @@ def _resolve(entry: dict, tol_scale: float) -> tuple[str, dict]:
               for key, default in table.items()}
     if params.get("points", 1) < 1:
         raise ConfigError(f"{where}.points: expected a positive int")
+    if params.get("tolerance", 0.0) < 0:
+        raise ConfigError(f"{where}.tolerance: expected a non-negative "
+                          f"number, got {params['tolerance']!r}")
     if "tolerance" in params:
         params["tolerance"] *= tol_scale
     return name, params
@@ -504,7 +496,15 @@ def _resolve(entry: dict, tol_scale: float) -> tuple[str, dict]:
 
 def run_config(config: dict, seed_override: Optional[int] = None,
                tol_scale: float = 1.0, threads: int = 1) -> tuple[int, str]:
-    """Execute a verification plan; returns (exit_code, report_text)."""
+    """Execute a verification plan, one check after another; returns
+    (exit_code, report_text).
+
+    ``threads`` takes only 1, since the checks run one at a time; it is
+    kept because ``perfbench/workloads.py`` still passes ``threads=1``, and
+    goes once that call drops it (ROADMAP item 6)."""
+    if threads != 1:
+        raise ConfigError(f"threads: checks run one at a time, got "
+                          f"{threads!r}")
     if not (math.isfinite(tol_scale) and tol_scale > 0):
         raise ConfigError(f"tol_scale: expected a positive finite number, "
                           f"got {tol_scale!r}")
@@ -513,25 +513,17 @@ def run_config(config: dict, seed_override: Optional[int] = None,
         raise ConfigError("checks: expected a list")
     # Resolve the whole plan before running anything.
     plan = [_resolve(entry, tol_scale) for entry in config["checks"]]
-
-    def run_one(item):
-        name, params = item
+    results = []
+    for name, params in plan:
         try:
-            return CHECKS[name](ctx, params, fd, seed)
+            results += CHECKS[name](ctx, params, fd, seed)
         except ConfigError:
             raise
         except SkrpError as exc:
             # One failing check does not end the run: it becomes a failed row.
-            return [CheckResult(name, math.inf,
-                                float(params.get("tolerance", math.nan)),
-                                False, f"error {type(exc).__name__}: {exc}")]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            groups = list(pool.map(run_one, plan))
-    else:
-        groups = [run_one(entry) for entry in plan]
-    results = [r for group in groups for r in group]
+            results.append(CheckResult(
+                name, math.inf, float(params.get("tolerance", math.nan)),
+                False, f"error {type(exc).__name__}: {exc}"))
     return _render_report(config, seed, results)
 
 
@@ -703,15 +695,6 @@ def _write_out(text: str, out: Optional[str]):
         sys.stdout.write(text)
 
 
-def _env_threads() -> int:
-    value = os.environ.get("SKRP_THREADS", "1")
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"SKRP_THREADS must be an integer, got "
-                          f"{value!r}") from None
-
-
 def main(argv: Optional[list] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="skrp",
@@ -728,7 +711,6 @@ def main(argv: Optional[list] = None) -> int:
             p.add_argument("--seed", type=int, default=None)
         if name == "verify":
             p.add_argument("--tol-scale", type=float, default=1.0)
-            p.add_argument("--threads", type=int, default=None)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -745,11 +727,8 @@ def main(argv: Optional[list] = None) -> int:
         config = _load_config(args.config)
         code = 0
         if args.command == "verify":
-            threads = (args.threads if args.threads is not None
-                       else _env_threads())
             code, text = run_config(config, seed_override=args.seed,
-                                    tol_scale=args.tol_scale,
-                                    threads=max(1, threads))
+                                    tol_scale=args.tol_scale)
         elif args.command == "build":
             text = run_build(config, args.seed)
         elif args.command == "classify":

@@ -264,6 +264,16 @@ def partials(fn: Callable, x: np.ndarray, h: float, second: bool | str,
     return join(values), join(d1s), join(d2s) if second else None
 
 
+def _check_points(chart: ChartMetric, x: np.ndarray):
+    """Raise a SkrpError naming both shapes unless x is a nonempty batch
+    (B, n) of points of the chart; every entry point that takes points of
+    a chart checks them so before its first call of ``chart.g`` or
+    ``chart.phi``."""
+    if x.ndim != 2 or len(x) == 0 or x.shape[1] != chart.n:
+        raise SkrpError(f"points on a chart of n = {chart.n} must be a "
+                        f"nonempty batch of shape (B, n), got {x.shape}")
+
+
 def _amax(a: np.ndarray) -> np.ndarray:
     """max |a| over all axes but the leading (point) axis."""
     return np.max(np.abs(a).reshape(len(a), -1), axis=1, initial=0.0)
@@ -287,6 +297,7 @@ class MetricJet:
 
 def metric_jet(chart: ChartMetric, x, fd: FDConfig,
                second: bool = True) -> MetricJet:
+    _check_points(chart, x)
     g, dg, d2g = partials(chart.g, x, fd.h, second, domain=chart.domain)
     ev = np.linalg.eigvalsh(g)
     bad = (ev[:, 0] <= 0) | (ev[:, 0] < 1e-14 * ev[:, -1])
@@ -377,6 +388,9 @@ def orthonormal_frame(g: np.ndarray, seeds: Optional[np.ndarray] = None
     the span of the frame so far is skipped.
     """
     g = np.asarray(g, dtype=float)
+    if g.ndim != 3 or len(g) == 0 or g.shape[1] != g.shape[2]:
+        raise SkrpError(f"metrics must be a nonempty batch of shape "
+                        f"(B, n, n), got {g.shape}")
     B, n, _ = g.shape
     candidates = np.broadcast_to(np.eye(n), (B, n, n))
     if seeds is not None:
@@ -420,6 +434,7 @@ def potential_derivatives(chart: ChartMetric, x, fd: FDConfig,
                           ) -> PotentialDerivatives:
     """Value, gradient, covariant Hessian, Laplacian Y, and
     Q = g(grad, grad) of the chart potential."""
+    _check_points(chart, x)
     if jet is None:
         jet = metric_jet(chart, x, fd, second=False)
     phi, dphi, d2phi = partials(chart.phi, x, fd.h, True, domain=chart.domain)
@@ -488,9 +503,10 @@ def geodesic_batch(chart: ChartMetric, x0: np.ndarray, w0: np.ndarray,
     """
     x0 = np.asarray(x0, dtype=float).copy()
     w0 = np.asarray(w0, dtype=float).copy()
-    if x0.ndim != 2 or w0.shape != x0.shape:
-        raise SkrpError(f"x0 and w0 must have shape (B, n), got {x0.shape} "
-                        f"and {w0.shape}")
+    _check_points(chart, x0)
+    if w0.shape != x0.shape:
+        raise SkrpError(f"w0 must have the shape of x0, {x0.shape}, got "
+                        f"{w0.shape}")
     if n_steps <= 0 or n_steps % RECORD_EVERY:
         raise SkrpError(f"n_steps must be a positive multiple of "
                         f"{RECORD_EVERY}, got {n_steps}")

@@ -36,6 +36,7 @@ from .tensor import (
     PotentialDerivatives,
     _amax,
     _batch_grad_scalar,
+    _check_points,
     _dginv,
     curvature,
     geodesic_batch,
@@ -410,6 +411,7 @@ def conformal_einstein_report(chart: ChartMetric, points: np.ndarray,
                               curv: Optional[CurvatureTensors] = None,
                               pot: Optional[PotentialDerivatives] = None
                               ) -> ConformalEinsteinReport:
+    _check_points(chart, points)
     phis = np.asarray(chart.phi(points), dtype=float)
     profile: Optional[Profile] = chart.meta.get("profile")
     if profile is not None:

@@ -101,6 +101,9 @@ BAD_INPUTS = {
                                         {"h": math.inf})),
     "tolerance_nan": ("verify", patched(SHELL_CONFIG, "checks.0.tolerance",
                                         math.nan)),
+    # No row could pass: a tolerance of 0 is legal, a negative one is not.
+    "tolerance_negative": ("verify", patched(SHELL_CONFIG,
+                                             "checks.0.tolerance", -1e-6)),
     "profile_K_infinite": ("verify", patched(SHELL_CONFIG, "profile.K",
                                              math.inf)),
     "distance_expected_nan": ("verify", patched(
@@ -224,18 +227,9 @@ class TestRunConfig:
     def test_every_check_has_its_parameters(self):
         assert set(cli.CHECK_PARAMS) == set(cli.CHECKS)
 
-    def test_threads_do_not_change_results(self):
-        # Four checks of conformal_type_c share one set of 60 points, so
-        # two threads read one shared evaluation at once.
-        def strip(text):
-            return "\n".join(ln for ln in text.splitlines()
-                             if not ln.startswith("timestamp:"))
-
-        shipped = json.loads((CONFIGS / "conformal_type_c.json").read_text())
-        for config in (SHELL_CONFIG, shipped):
-            code1, t1 = cli.run_config(config, threads=1)
-            code2, t2 = cli.run_config(config, threads=2)
-            assert (code1, strip(t1)) == (code2, strip(t2))
+    def test_threads_other_than_one_rejected(self):
+        with pytest.raises(ConfigError, match="threads"):
+            cli.run_config(SHELL_CONFIG, threads=2)
 
     @pytest.mark.parametrize("variant", ["shell", "product"])
     def test_identity_rows(self, variant):
@@ -355,7 +349,8 @@ class TestSharedSamples:
 
     @pytest.mark.parametrize("names, second", [
         (("skrp_blocks", "kahler", "killing"), True),
-        (("kahler", "killing"), False)])
+        (("kahler", "killing"), False),
+        (("kahler", "killing") * 4, False)])
     def test_one_g_and_one_phi_call(self, monkeypatch, names, second):
         calls = counted_shells(monkeypatch)
         code, _ = cli.run_config(with_checks(SHELL_CONFIG, names, 3))
@@ -373,20 +368,6 @@ class TestSharedSamples:
             rows = cli.CHECKS[name](ctx, {"points": 3, "tolerance": 1e-6},
                                     tensor.FDConfig(), 4)
             assert rows[0].passed
-        assert calls == {"g": [3 * cloud(False)], "phi": [3 * cloud(True)]}
-
-    def test_threads_evaluate_once(self, monkeypatch):
-        # More threads than cores, switching often: still one metric and
-        # one phi evaluation for the eight checks of one point set.
-        calls = counted_shells(monkeypatch)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            code, _ = cli.run_config(with_checks(
-                SHELL_CONFIG, ["kahler", "killing"] * 4, 3), threads=8)
-        finally:
-            sys.setswitchinterval(interval)
-        assert code == 0
         assert calls == {"g": [3 * cloud(False)], "phi": [3 * cloud(True)]}
 
     SHARED = ("skrp_blocks", "identities", "conformal_einstein", "soliton")
@@ -582,34 +563,13 @@ class TestMainEntry:
         assert capsys.readouterr().err.startswith(
             f"config error: {said} {path}: ")
 
-    def test_bad_thread_variable_exit_two(self, tmp_path, capsys,
-                                          monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SHELL_CONFIG))
-        monkeypatch.setenv("SKRP_THREADS", "abc")
-        assert cli.main(["verify", "--config", str(cfg)]) == 2
-        assert capsys.readouterr().err.startswith("config error:")
-
-    def test_thread_variable_read_by_verify_only(self, tmp_path, capsys,
-                                                 monkeypatch):
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SPHERE_CONFIG))
-        out = tmp_path / "report.txt"
-        assert cli.main(["verify", "--config", str(cfg),
-                         "--out", str(out)]) == 0
-        monkeypatch.setenv("SKRP_THREADS", "abc")
-        summary = tmp_path / "summary.txt"
-        assert cli.main(["report", "--in", str(out),
-                         "--out", str(summary)]) == 0
-        assert "summary:" in summary.read_text()
-        assert cli.main(["classify", "--config", str(cfg)]) == 0
-
     @pytest.mark.parametrize("argv", [
         ["report", "--in", "r.txt", "--threads", "2"],
         ["report", "--in", "r.txt", "--tol-scale", "2"],
         ["classify", "--config", "c.json", "--seed", "3"],
         ["sweep", "--config", "c.json", "--threads", "2"],
         ["build", "--config", "c.json", "--tol-scale", "2"],
+        ["verify", "--config", "c.json", "--threads", "2"],
     ])
     def test_flags_only_where_read(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -544,6 +544,37 @@ class TestPointShapes:
             with pytest.raises(SkrpError, match=r"got \(0, 4\)$"):
                 call()
 
+    @pytest.mark.parametrize("width", [3, 6])
+    def test_wrong_dimension(self, fd, shell_chart, width):
+        # Named before the chart's first call, which would raise numpy's
+        # matmul error: the chart here fails on any call.
+        def unreached(pts):
+            raise AssertionError("chart called")
+
+        chart = dataclasses.replace(shell_chart, g=unreached, phi=unreached)
+        x = np.full((3, width), 0.3)
+        for call in (lambda: tensor.metric_jet(chart, x, fd),
+                     lambda: tensor.curvature(chart, x, fd),
+                     lambda: tensor.potential_derivatives(chart, x, fd),
+                     lambda: tensor.kahler_residuals(chart, x, fd),
+                     lambda: tensor.killing_residual(chart, x, fd),
+                     lambda: verify.skrp_report(chart, x, fd),
+                     lambda: verify.identity_report(chart, x, fd),
+                     lambda: verify.conformal_einstein_report(chart, x, fd),
+                     lambda: verify.soliton_report(chart, 0.5, 0.3, x, fd),
+                     lambda: tensor.geodesic_batch(chart, x, x, 1.0, fd,
+                                                   n_steps=8)):
+            with pytest.raises(SkrpError, match=re.escape(
+                    f"n = 4 must be a nonempty batch of shape (B, n), "
+                    f"got (3, {width})")):
+                call()
+
+    @pytest.mark.parametrize("shape", [(0, 4, 4), (4, 4), (2, 4, 3)])
+    def test_orthonormal_frame(self, shape):
+        with pytest.raises(SkrpError, match=r"\(B, n, n\), got " +
+                           re.escape(str(shape))):
+            tensor.orthonormal_frame(np.ones(shape))
+
 
 @pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, 0.0])
 def test_fd_step_finite_positive(h):
